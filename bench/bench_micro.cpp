@@ -184,6 +184,24 @@ void BM_SyncResponseEncodeInto(benchmark::State& state) {
 }
 BENCHMARK(BM_SyncResponseEncodeInto)->Arg(0)->Arg(1);
 
+void BM_TestcaseStoreRandomSample(benchmark::State& state) {
+  // The hot-sync handout: a batch of 16 for a client that knows nothing,
+  // from the first range(0) testcases of the seeded 2140-testcase suite.
+  uucs::Rng suite_rng(1);
+  const auto suite = uucs::generate_internet_suite(uucs::SuiteSpec{}, suite_rng);
+  uucs::TestcaseStore catalog;
+  const auto ids = suite.ids();
+  for (std::size_t i = 0; i < ids.size() && i < static_cast<std::size_t>(state.range(0)); ++i) {
+    catalog.add(suite.get(ids[i]));
+  }
+  uucs::Rng rng(7);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(catalog.random_sample(16, rng).size());
+  }
+  state.SetLabel(std::to_string(catalog.size()) + " testcases");
+}
+BENCHMARK(BM_TestcaseStoreRandomSample)->Arg(64)->Arg(2140);
+
 void BM_JournalBatchBuild(benchmark::State& state) {
   // Group-commit batch framing: header + payload + CRC for range(0)
   // entries appended into one recycled buffer — the pure CPU share of an

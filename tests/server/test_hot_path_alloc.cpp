@@ -20,6 +20,7 @@
 #include <cstdlib>
 #include <new>
 #include <string>
+#include <vector>
 
 #include "server/protocol.hpp"
 #include "server/server.hpp"
@@ -242,6 +243,67 @@ TEST(HotPathAlloc, DispatchSteadyStateAllocBudget) {
   // hundreds (one per key/value/record across 3 records).
   EXPECT_LE(per_sync, 40u) << "dispatch allocates " << per_sync
                            << " times per sync — hot-path regression";
+}
+
+// Allocations per warmed, result-free sync that hands a client who knows
+// nothing a full batch of 16 from a catalog of `catalog_size` testcases.
+// Every testcase has the same function and a fixed-width id, so any 16 of
+// them cost the same to copy and encode.
+std::uint64_t fetch_allocs_per_sync(int catalog_size) {
+  UucsServer server(1, 16);
+  const Testcase shape = make_ramp_testcase(Resource::kCpu, 1.0, 120.0);
+  for (int i = 0; i < catalog_size; ++i) {
+    // Ids as long as real ones (past the inline-string capacity).
+    Testcase tc("fetch-testcase-" + std::to_string(10000 + i));
+    tc.set_description(shape.description());
+    tc.set_function(Resource::kCpu, *shape.function(Resource::kCpu));
+    server.add_testcase(std::move(tc));
+  }
+  const Guid guid = server.register_client(HostSpec::paper_study_machine(), 0.0);
+  auto make_request = [&](int seq) {
+    SyncRequest req;
+    req.guid = guid;
+    req.sync_seq = static_cast<std::uint64_t>(seq);
+    return encode_sync_request(req);
+  };
+
+  for (int i = 0; i < 8; ++i) dispatch_request(server, make_request(i));  // warm
+
+  std::vector<std::string> requests;
+  for (int i = 8; i < 8 + kIterations; ++i) requests.push_back(make_request(i));
+  std::vector<std::string> responses(requests.size());
+
+  const std::uint64_t start = g_news;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    responses[i] = dispatch_request(server, requests[i]);
+  }
+  const std::uint64_t per_sync = allocs_since(start) / kIterations;
+
+  for (const auto& response : responses) {
+    std::size_t handed_out = 0;
+    for (auto at = response.find("[testcase]"); at != std::string::npos;
+         at = response.find("[testcase]", at + 1)) {
+      ++handed_out;
+    }
+    EXPECT_EQ(handed_out, 16u);
+  }
+  return per_sync;
+}
+
+// The handout must not grow with the catalog: sampling shuffles slot
+// numbers of the store's sorted index and copies only the chosen ids. The
+// per-catalog-entry string copies it replaced cost thousands of
+// allocations per sync at the seeded suite's size.
+TEST(HotPathAlloc, FetchDispatchAllocsIndependentOfCatalog) {
+  const std::uint64_t small = fetch_allocs_per_sync(64);
+  const std::uint64_t large = fetch_allocs_per_sync(2140);
+  EXPECT_EQ(small, large);
+  // Per sync (94 when written): 16 Testcase copies (id, function map node,
+  // samples, encoded cache), the 16 sampled ids and their list, the
+  // sampling pool and exclusion mask, the decoded request and the response
+  // string. 120 leaves headroom; copying every id cost over 2000.
+  EXPECT_LE(large, 120u) << "fetch dispatch allocates " << large
+                         << " times per sync at 2140 testcases";
 }
 
 }  // namespace

@@ -9,9 +9,12 @@
 #include <atomic>
 #include <functional>
 #include <limits>
+#include <string>
 #include <vector>
 
+#include "analysis/breakdown.hpp"
 #include "analysis/metrics.hpp"
+#include "analysis/offsets.hpp"
 #include "server/protocol.hpp"
 #include "util/crc32.hpp"
 #include "analysis/streaming.hpp"
@@ -473,6 +476,74 @@ void BM_StudyAccumulatorAdd(benchmark::State& state) {
   benchmark::DoNotOptimize(acc.runs());
 }
 BENCHMARK(BM_StudyAccumulatorAdd);
+
+/// The figure set the study workloads read off an in-memory store: both
+/// Fig 9 breakdown tables, the 15 cells of Figs 10-16, the three
+/// Kaplan-Meier curves and the five offset summaries.
+std::size_t figure_set(const uucs::ResultStore& results) {
+  std::size_t sink = 0;
+  for (const auto scope : {uucs::analysis::BreakdownScope::kCpuAndBlank,
+                           uucs::analysis::BreakdownScope::kAllRuns}) {
+    sink += uucs::analysis::compute_breakdown_table(results, scope).total.total();
+  }
+  std::vector<std::string> tasks;
+  for (const auto t : uucs::sim::kAllTasks) tasks.push_back(uucs::sim::task_name(t));
+  tasks.emplace_back();  // "" = all tasks
+  for (const std::string& task : tasks) {
+    for (const auto r : uucs::kStudyResources) {
+      sink += uucs::analysis::compute_cell(results, task, r).df_count;
+    }
+  }
+  for (const auto r : uucs::kStudyResources) {
+    sink += uucs::analysis::aggregate_km(results, r).curve_points().size();
+  }
+  for (const std::string& task : tasks) {
+    if (const auto o = uucs::analysis::summarize_offsets(results, task)) sink += o->n;
+  }
+  return sink;
+}
+
+void BM_FigureSetInMemory(benchmark::State& state) {
+  // The figure set over a 2k-user controlled study's ~68k map-based
+  // records. reserve() is a mutator, so every iteration starts from a
+  // store without a run index and pays for building it.
+  static const uucs::study::PopulationParams params =
+      uucs::study::calibrate_population();
+  uucs::study::ControlledStudyConfig config;
+  config.participants = 2000;
+  config.seed = 2004;
+  config.jobs = 1;
+  uucs::ResultStore store = uucs::study::run_controlled_study(config, params).results;
+  for (auto _ : state) {
+    store.reserve(store.size());
+    benchmark::DoNotOptimize(figure_set(store));
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(store.size()));
+}
+BENCHMARK(BM_FigureSetInMemory)->Unit(benchmark::kMillisecond);
+
+void BM_FigureSetStreamingKm(benchmark::State& state) {
+  // The three Kaplan-Meier curves of the streaming figure set, from the
+  // merged accumulator of a 20k-user streaming study (~680k runs).
+  static const uucs::study::PopulationParams params =
+      uucs::study::calibrate_population();
+  uucs::study::ControlledStudyConfig config;
+  config.participants = 20000;
+  config.seed = 2004;
+  config.jobs = 0;
+  config.streaming = true;
+  const auto out = uucs::study::run_controlled_study(config, params);
+  for (auto _ : state) {
+    std::size_t points = 0;
+    for (std::size_t r = 0; r < uucs::kStudyResources.size(); ++r) {
+      points += out.aggregates->aggregate_km(r).curve_points().size();
+    }
+    benchmark::DoNotOptimize(points);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(out.aggregates->runs()));
+}
+BENCHMARK(BM_FigureSetStreamingKm)->Unit(benchmark::kMillisecond);
 
 void BM_EngineSessionsPerSec(benchmark::State& state) {
   // End-to-end controlled-study session throughput through the

@@ -1,7 +1,5 @@
 #include "analysis/breakdown.hpp"
 
-#include "analysis/metrics.hpp"
-
 namespace uucs::analysis {
 
 double RunBreakdown::blank_discomfort_probability() const {
@@ -21,17 +19,13 @@ void RunBreakdown::add(const RunBreakdown& other) {
 RunBreakdown compute_breakdown(const uucs::ResultStore& results,
                                const std::string& task, BreakdownScope scope) {
   RunBreakdown b;
-  for (const auto* run : results.filter(task)) {
-    if (is_blank_run(*run)) {
-      ++(run->discomforted ? b.blank_discomforted : b.blank_exhausted);
-    } else {
-      if (scope == BreakdownScope::kCpuAndBlank &&
-          run_resource(*run) != uucs::Resource::kCpu) {
-        continue;
-      }
-      ++(run->discomforted ? b.nonblank_discomforted : b.nonblank_exhausted);
+  results.index().for_each(task, [&](std::size_t, const uucs::RunIndex::Row& row) {
+    if (row.blank) {
+      ++(row.discomforted ? b.blank_discomforted : b.blank_exhausted);
+    } else if (scope == BreakdownScope::kAllRuns || row.single_is(uucs::Resource::kCpu)) {
+      ++(row.discomforted ? b.nonblank_discomforted : b.nonblank_exhausted);
     }
-  }
+  });
   return b;
 }
 

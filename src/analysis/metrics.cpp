@@ -1,30 +1,60 @@
 #include "analysis/metrics.hpp"
 
 #include "util/rng.hpp"
-#include "util/strings.hpp"
 
 namespace uucs::analysis {
 
 std::optional<uucs::Resource> run_resource(const uucs::RunRecord& run) {
-  if (run.last_levels.size() != 1) return std::nullopt;
-  return uucs::parse_resource(run.last_levels.begin()->first);
+  return run.single_resource();
 }
 
 bool is_blank_run(const uucs::RunRecord& run) {
-  return uucs::starts_with(run.testcase_id, "blank");
+  return uucs::is_blank_testcase(run.testcase_id);
 }
 
 bool is_ramp_run(const uucs::RunRecord& run, uucs::Resource r) {
-  // Substring (not prefix) so the Internet suite's "inet-cpu-ramp-0042"
-  // ids classify like the controlled study's "cpu-ramp-x2-t120".
-  return run.testcase_id.find(uucs::resource_name(r) + "-ramp") !=
-         std::string::npos;
+  return uucs::is_ramp_testcase(run.testcase_id, r);
 }
 
 bool is_step_run(const uucs::RunRecord& run, uucs::Resource r) {
-  return run.testcase_id.find(uucs::resource_name(r) + "-step") !=
-         std::string::npos;
+  return uucs::is_step_testcase(run.testcase_id, r);
 }
+
+namespace {
+
+/// Host-faulted runs (degraded/failed/hung/aborted) did not deliver their
+/// contention schedule faithfully; mixing them into the comfort estimates
+/// would blur "the user was discomforted" with "the host was sick".
+bool is_comfort_ramp(const uucs::RunIndex::Row& row, uucs::Resource r) {
+  return !row.host_fault && row.ramp(r);
+}
+
+/// Calls fn(discomforted, level) for each of select_ramp_runs(results,
+/// task, r) that has a level for `r`, in record order, read off the run
+/// index — exactly what build_discomfort_cdf / build_km consume.
+template <class Fn>
+void for_each_ramp_level(const uucs::ResultStore& results, const std::string& task,
+                         uucs::Resource r, Fn&& fn) {
+  const auto ri = static_cast<std::size_t>(r);
+  results.index().for_each(task, [&](std::size_t, const uucs::RunIndex::Row& row) {
+    if (is_comfort_ramp(row, r) && row.has_level(r)) fn(row.discomforted, row.level[ri]);
+  });
+}
+
+uucs::stats::DiscomfortCdf ramp_cdf(const uucs::ResultStore& results,
+                                    const std::string& task, uucs::Resource r) {
+  uucs::stats::DiscomfortCdf cdf;
+  for_each_ramp_level(results, task, r, [&](bool discomforted, double level) {
+    if (discomforted) {
+      cdf.add_discomfort(level);
+    } else {
+      cdf.add_exhausted();
+    }
+  });
+  return cdf;
+}
+
+}  // namespace
 
 uucs::stats::DiscomfortCdf build_discomfort_cdf(
     const std::vector<const uucs::RunRecord*>& runs, uucs::Resource r) {
@@ -55,26 +85,21 @@ std::vector<const uucs::RunRecord*> select_ramp_runs(const uucs::ResultStore& re
                                                      const std::string& task,
                                                      uucs::Resource r) {
   std::vector<const uucs::RunRecord*> out;
-  for (const auto* run : results.filter(task)) {
-    // Host-faulted runs (degraded/failed/hung/aborted) did not deliver
-    // their contention schedule faithfully; mixing them into the comfort
-    // estimates would blur "the user was discomforted" with "the host was
-    // sick". Healthy records carry no outcome key, so this is free for the
-    // simulated studies.
-    if (run->host_fault()) continue;
-    if (is_ramp_run(*run, r)) out.push_back(run);
-  }
+  const auto& records = results.records();
+  results.index().for_each(task, [&](std::size_t i, const uucs::RunIndex::Row& row) {
+    if (is_comfort_ramp(row, r)) out.push_back(&records[i]);
+  });
   return out;
 }
 
 CellMetrics compute_cell(const uucs::ResultStore& results, const std::string& task,
                          uucs::Resource r) {
-  return metrics_from_cdf(build_discomfort_cdf(select_ramp_runs(results, task, r), r));
+  return metrics_from_cdf(ramp_cdf(results, task, r));
 }
 
 uucs::stats::DiscomfortCdf aggregate_cdf(const uucs::ResultStore& results,
                                          uucs::Resource r) {
-  return build_discomfort_cdf(select_ramp_runs(results, "", r), r);
+  return ramp_cdf(results, "", r);
 }
 
 uucs::stats::KaplanMeier build_km(const std::vector<const uucs::RunRecord*>& runs,
@@ -94,7 +119,15 @@ uucs::stats::KaplanMeier build_km(const std::vector<const uucs::RunRecord*>& run
 
 uucs::stats::KaplanMeier aggregate_km(const uucs::ResultStore& results,
                                       uucs::Resource r) {
-  return build_km(select_ramp_runs(results, "", r), r);
+  uucs::stats::KaplanMeier km;
+  for_each_ramp_level(results, "", r, [&](bool discomforted, double level) {
+    if (discomforted) {
+      km.add_event(level);
+    } else {
+      km.add_censored(level);
+    }
+  });
+  return km;
 }
 
 LevelCi bootstrap_level_ci(const uucs::stats::DiscomfortCdf& cdf, double q,

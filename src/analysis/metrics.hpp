@@ -11,15 +11,16 @@
 
 namespace uucs::analysis {
 
-/// The single resource a run exercised; nullopt for blank or multi-resource
-/// runs (the controlled study uses single-resource testcases only).
+/// The single resource a run exercised (RunRecord::single_resource);
+/// nullopt for blank, multi-resource or non-canonically keyed runs (the
+/// controlled study uses single-resource testcases only).
 std::optional<uucs::Resource> run_resource(const uucs::RunRecord& run);
 
-/// True if the run executed a blank testcase.
+/// True if the run executed a blank testcase (uucs::is_blank_testcase).
 bool is_blank_run(const uucs::RunRecord& run);
 
-/// True if the run's testcase was a ramp / step on `r` (id naming scheme
-/// "<resource>-ramp-..." / "<resource>-step-...").
+/// True if the run's testcase was a ramp / step on `r`
+/// (uucs::is_ramp_testcase / is_step_testcase).
 bool is_ramp_run(const uucs::RunRecord& run, uucs::Resource r);
 bool is_step_run(const uucs::RunRecord& run, uucs::Resource r);
 

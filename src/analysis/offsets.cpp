@@ -1,14 +1,22 @@
 #include "analysis/offsets.hpp"
 
+#include "util/strings.hpp"
+
 namespace uucs::analysis {
 
 std::vector<double> discomfort_offsets(const uucs::ResultStore& results,
                                        const std::string& task,
                                        const std::string& testcase_prefix) {
   std::vector<double> out;
-  for (const auto* run : results.filter(task, testcase_prefix)) {
-    if (run->discomforted) out.push_back(run->offset_s);
-  }
+  const auto& records = results.records();
+  results.index().for_each(task, [&](std::size_t i, const uucs::RunIndex::Row& row) {
+    if (!row.discomforted) return;
+    if (!testcase_prefix.empty() &&
+        !uucs::starts_with(records[i].testcase_id, testcase_prefix)) {
+      return;
+    }
+    out.push_back(row.offset_s);
+  });
   return out;
 }
 

@@ -76,13 +76,11 @@ StudyAccumulator::StudyAccumulator(StringInterner& pool) : pool_(&pool) {
   }
 }
 
-std::uint8_t StudyAccumulator::testcase_class(const std::string& testcase_id) {
+std::uint8_t StudyAccumulator::testcase_class(std::string_view testcase_id) {
   std::uint8_t cls = 0;
-  if (starts_with(testcase_id, "blank")) cls |= kBlankBit;
+  if (is_blank_testcase(testcase_id)) cls |= kBlankBit;
   for (std::size_t i = 0; i < kStudyResources.size(); ++i) {
-    // Substring (not prefix) match, exactly like analysis::is_ramp_run.
-    if (testcase_id.find(resource_name(kStudyResources[i]) + "-ramp") !=
-        std::string::npos) {
+    if (is_ramp_testcase(testcase_id, kStudyResources[i])) {
       cls |= static_cast<std::uint8_t>(1u << i);
     }
   }
@@ -101,8 +99,7 @@ void StudyAccumulator::add(const RunRecord& rec) {
   c.blank = (cls & kBlankBit) != 0;
   c.ramp_mask = cls & 0x7f;
   c.host_fault = rec.host_fault();
-  c.single_cpu = rec.last_levels.size() == 1 &&
-                 rec.last_levels.begin()->first == resource_name(Resource::kCpu);
+  c.single_cpu = rec.single_resource() == Resource::kCpu;
   c.discomforted = rec.discomforted;
   c.offset_s = rec.offset_s;
   for (std::size_t i = 0; i < kStudyResources.size(); ++i) {
@@ -143,12 +140,16 @@ void StudyAccumulator::add(const FlatRunRecord& rec) {
   c.ramp_mask = cls & 0x7f;
   const std::uint32_t outcome = rec.meta_value(ids.run_outcome);
   c.host_fault = outcome != StringInterner::kEmptyId && outcome != ids.ok;
+  // RunRecord::single_resource on the flat layout: one trail in all, keyed
+  // "cpu" inline or (a spilled long trail) in extra_levels.
   std::size_t level_entries = rec.extra_levels.size();
   for (std::size_t i = 0; i < kResourceCount; ++i) {
     if (rec.levels[i].present) ++level_entries;
   }
-  c.single_cpu =
-      level_entries == 1 && rec.trail(Resource::kCpu).present;
+  c.single_cpu = level_entries == 1 &&
+                 (rec.trail(Resource::kCpu).present ||
+                  (!rec.extra_levels.empty() &&
+                   rec.extra_levels.front().first == ids.cpu_name));
   c.discomforted = rec.discomforted;
   c.offset_s = rec.offset_s;
   for (std::size_t i = 0; i < kStudyResources.size(); ++i) {
@@ -303,12 +304,8 @@ stats::KaplanMeier StudyAccumulator::aggregate_km(
   CellTally merged;
   for (const TaskTally& t : tasks_) merged.merge(t.cells[resource_index]);
   stats::KaplanMeier km;
-  for (const auto& [level, count] : merged.events) {
-    for (std::uint64_t i = 0; i < count; ++i) km.add_event(level);
-  }
-  for (const auto& [level, count] : merged.censored) {
-    for (std::uint64_t i = 0; i < count; ++i) km.add_censored(level);
-  }
+  for (const auto& [level, count] : merged.events) km.add_events(level, count);
+  for (const auto& [level, count] : merged.censored) km.add_censored(level, count);
   return km;
 }
 

@@ -5,6 +5,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -43,9 +44,9 @@ namespace uucs::analysis {
 /// tests compare serialize() output, and round-tripped doubles to the last
 /// ulp.
 ///
-/// Classification mirrors src/analysis exactly: blank = testcase_id
-/// starting "blank"; ramp on r = id containing "<resource>-ramp"
-/// (substring, so Internet-suite ids classify too); host-faulted runs
+/// Classification uses the rules beside RunRecord (testcase/run_record),
+/// like src/analysis: blank and ramp runs by testcase id, the single-CPU
+/// breakdown class by the exact canonical level key; host-faulted runs
 /// (meta run.outcome != "ok") are excluded from comfort cells like
 /// select_ramp_runs() does; runs whose task string is not one of the four
 /// study tasks count toward runs() only.
@@ -90,8 +91,9 @@ class StudyAccumulator {
   static constexpr std::size_t kAllTasks = sim::kTaskCount;
   CellMetrics cell(std::size_t task_index, std::size_t resource_index) const;
 
-  /// Kaplan–Meier estimator inputs reconstructed from the exact level
-  /// maps — identical to analysis::aggregate_km over the same records.
+  /// Kaplan–Meier estimator built from the exact per-level counts in
+  /// O(distinct levels) — identical to analysis::aggregate_km over the same
+  /// records.
   stats::KaplanMeier aggregate_km(std::size_t resource_index) const;
 
   /// Discomfort-offset summary (mean/CI exact via ExactSum; quartiles
@@ -139,7 +141,7 @@ class StudyAccumulator {
     std::array<std::optional<double>, 3> levels;  ///< level_at_feedback per study resource
   };
   void add_classified(const Classified& c);
-  std::uint8_t testcase_class(const std::string& testcase_id);
+  std::uint8_t testcase_class(std::string_view testcase_id);
 
   /// Ids of the well-known strings the flat add() path compares against,
   /// interned into pool_ at construction.

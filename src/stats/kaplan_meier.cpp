@@ -6,21 +6,22 @@
 
 namespace uucs::stats {
 
-void KaplanMeier::add_event(double level) {
+void KaplanMeier::add(double level, std::size_t n, bool event) {
   UUCS_CHECK_MSG(level >= 0, "level must be >= 0");
-  observations_.push_back({level, true});
-  ++events_;
+  if (n == 0) return;
+  entries_.push_back({level, n, event});
+  (event ? events_ : censored_) += n;
 }
 
-void KaplanMeier::add_censored(double level) {
-  UUCS_CHECK_MSG(level >= 0, "level must be >= 0");
-  observations_.push_back({level, false});
-  ++censored_;
+void KaplanMeier::add_events(double level, std::size_t n) { add(level, n, true); }
+
+void KaplanMeier::add_censored(double level, std::size_t n) {
+  add(level, n, false);
 }
 
 std::vector<std::pair<double, double>> KaplanMeier::curve_points() const {
-  std::vector<Obs> sorted = observations_;
-  std::sort(sorted.begin(), sorted.end(), [](const Obs& a, const Obs& b) {
+  std::vector<Entry> sorted = entries_;
+  std::sort(sorted.begin(), sorted.end(), [](const Entry& a, const Entry& b) {
     if (a.level != b.level) return a.level < b.level;
     // Events before censorings at the same level: the censored runs were
     // still at risk when the event occurred.
@@ -29,15 +30,15 @@ std::vector<std::pair<double, double>> KaplanMeier::curve_points() const {
 
   std::vector<std::pair<double, double>> points;
   double survival = 1.0;
-  std::size_t at_risk = sorted.size();
+  std::size_t at_risk = size();
   std::size_t i = 0;
   while (i < sorted.size()) {
     const double level = sorted[i].level;
     std::size_t events_here = 0;
     std::size_t total_here = 0;
     while (i < sorted.size() && sorted[i].level == level) {
-      if (sorted[i].event) ++events_here;
-      ++total_here;
+      if (sorted[i].event) events_here += sorted[i].count;
+      total_here += sorted[i].count;
       ++i;
     }
     if (events_here > 0) {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -16,14 +17,25 @@ namespace uucs::stats {
 /// censoring level, which biases the aggregate when tasks explore different
 /// ramp maxima (Word's CPU ramp reaches 7.0, Quake's only 1.3). The KM
 /// estimator handles exactly this.
+///
+/// Observations are stored as (level, event, count) entries, so a caller
+/// holding per-level counts (the streaming accumulator) builds the
+/// estimator in O(distinct levels); n single adds and one add of n give
+/// bit-identical curves.
 class KaplanMeier {
  public:
   /// Records a discomfort event at `level`.
-  void add_event(double level);
+  void add_event(double level) { add_events(level, 1); }
+
+  /// Records `n` discomfort events at `level` (n = 0 records nothing).
+  void add_events(double level, std::size_t n);
 
   /// Records a run censored at `level` (survived to there, then the
   /// testcase ended).
-  void add_censored(double level);
+  void add_censored(double level) { add_censored(level, 1); }
+
+  /// Records `n` runs censored at `level` (n = 0 records nothing).
+  void add_censored(double level, std::size_t n);
 
   std::size_t event_count() const { return events_; }
   std::size_t censored_count() const { return censored_; }
@@ -41,11 +53,14 @@ class KaplanMeier {
   std::vector<std::pair<double, double>> curve_points() const;
 
  private:
-  struct Obs {
+  struct Entry {
     double level;
+    std::size_t count;
     bool event;
   };
-  std::vector<Obs> observations_;
+  void add(double level, std::size_t n, bool event);
+
+  std::vector<Entry> entries_;
   std::size_t events_ = 0;
   std::size_t censored_ = 0;
 };

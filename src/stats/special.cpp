@@ -46,6 +46,14 @@ double betacf(double a, double b, double x) {
   return h;
 }
 
+// ln Γ(x). std::lgamma also stores the sign of Γ(x) in the global
+// `signgam`, a data race when threads compute figures at once; the
+// reentrant lgamma_r returns the same value.
+double log_gamma(double x) {
+  int sign = 0;
+  return ::lgamma_r(x, &sign);
+}
+
 }  // namespace
 
 double incomplete_beta(double a, double b, double x) {
@@ -53,7 +61,7 @@ double incomplete_beta(double a, double b, double x) {
   UUCS_CHECK_MSG(x >= 0 && x <= 1, "incomplete_beta: x must be in [0,1]");
   if (x == 0.0) return 0.0;
   if (x == 1.0) return 1.0;
-  const double ln_front = std::lgamma(a + b) - std::lgamma(a) - std::lgamma(b) +
+  const double ln_front = log_gamma(a + b) - log_gamma(a) - log_gamma(b) +
                           a * std::log(x) + b * std::log1p(-x);
   const double front = std::exp(ln_front);
   if (x < (a + 1.0) / (a + b + 2.0)) {
@@ -65,7 +73,7 @@ double incomplete_beta(double a, double b, double x) {
 double incomplete_gamma_p(double a, double x) {
   UUCS_CHECK_MSG(a > 0 && x >= 0, "incomplete_gamma_p domain");
   if (x == 0.0) return 0.0;
-  const double lg = std::lgamma(a);
+  const double lg = log_gamma(a);
   if (x < a + 1.0) {
     // Series representation.
     double ap = a;

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <string_view>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "util/error.hpp"
@@ -14,6 +16,16 @@ std::optional<double> RunRecord::level_at_feedback(Resource r) const {
   const auto it = last_levels.find(resource_name(r));
   if (it == last_levels.end() || it->second.empty()) return std::nullopt;
   return it->second.back();
+}
+
+std::optional<Resource> RunRecord::single_resource() const {
+  if (last_levels.size() != 1) return std::nullopt;
+  const std::string& key = last_levels.begin()->first;
+  for (std::size_t i = 0; i < kResourceCount; ++i) {
+    const auto r = static_cast<Resource>(i);
+    if (key == resource_name(r)) return r;
+  }
+  return std::nullopt;
 }
 
 void RunRecord::set_last_levels(Resource r, std::vector<double> values) {
@@ -33,7 +45,68 @@ double RunRecord::meta_double(const std::string& key, double dflt) const {
 
 std::string RunRecord::run_outcome() const { return meta("run.outcome", "ok"); }
 
-bool RunRecord::host_fault() const { return run_outcome() != "ok"; }
+bool RunRecord::host_fault() const {
+  const auto it = metadata.find("run.outcome");
+  return it != metadata.end() && it->second != "ok";
+}
+
+namespace {
+
+// True when `id` contains resource_name(r) immediately followed by `tag`.
+bool has_resource_tag(std::string_view id, Resource r, std::string_view tag) {
+  const std::string_view name = resource_name(r);
+  for (auto pos = id.find(name); pos != std::string_view::npos;
+       pos = id.find(name, pos + 1)) {
+    if (id.substr(pos + name.size()).starts_with(tag)) return true;
+  }
+  return false;
+}
+
+}  // namespace
+
+bool is_blank_testcase(std::string_view testcase_id) {
+  return testcase_id.starts_with("blank");
+}
+
+bool is_ramp_testcase(std::string_view testcase_id, Resource r) {
+  return has_resource_tag(testcase_id, r, "-ramp");
+}
+
+bool is_step_testcase(std::string_view testcase_id, Resource r) {
+  return has_resource_tag(testcase_id, r, "-step");
+}
+
+RunIndex RunIndex::build(const std::vector<RunRecord>& records) {
+  RunIndex index;
+  index.rows.reserve(records.size());
+  // Views into the records' own task strings, alive for the whole build.
+  std::unordered_map<std::string_view, std::uint32_t> task_ids;
+  for (const RunRecord& rec : records) {
+    Row row;
+    const auto [it, fresh] = task_ids.try_emplace(
+        rec.task, static_cast<std::uint32_t>(index.tasks.size()));
+    if (fresh) index.tasks.push_back(rec.task);
+    row.task = it->second;
+    for (std::size_t i = 0; i < kResourceCount; ++i) {
+      const auto r = static_cast<Resource>(i);
+      const auto bit = static_cast<std::uint8_t>(1u << i);
+      if (is_ramp_testcase(rec.testcase_id, r)) row.ramp_mask |= bit;
+      if (const auto level = rec.level_at_feedback(r)) {
+        row.level[i] = *level;
+        row.level_mask |= bit;
+      }
+    }
+    if (const auto single = rec.single_resource()) {
+      row.single = static_cast<std::int8_t>(*single);
+    }
+    row.blank = is_blank_testcase(rec.testcase_id);
+    row.host_fault = rec.host_fault();
+    row.discomforted = rec.discomforted;
+    row.offset_s = rec.offset_s;
+    index.rows.push_back(row);
+  }
+  return index;
+}
 
 namespace {
 
@@ -142,7 +215,56 @@ RunRecord RunRecord::from_kv(const KvDoc::Rec& rec) {
   return decode_run_impl(rec);
 }
 
-void ResultStore::add(RunRecord r) { records_.push_back(std::move(r)); }
+ResultStore::ResultStore(ResultStore&& other) noexcept
+    : records_(std::move(other.records_)) {
+  other.drop_index();
+}
+
+ResultStore& ResultStore::operator=(const ResultStore& other) {
+  drop_index();
+  records_ = other.records_;
+  return *this;
+}
+
+ResultStore& ResultStore::operator=(ResultStore&& other) noexcept {
+  if (this != &other) {
+    records_ = std::move(other.records_);
+    drop_index();
+    other.drop_index();
+  }
+  return *this;
+}
+
+void ResultStore::drop_index() noexcept {
+  // Mutators own the store exclusively (no const call may run beside
+  // them), so the pointer needs no read-modify-write here.
+  if (const RunIndex* index = index_.load(std::memory_order_relaxed)) {
+    index_.store(nullptr, std::memory_order_relaxed);
+    delete index;
+  }
+}
+
+const RunIndex& ResultStore::index() const {
+  if (const RunIndex* index = index_.load(std::memory_order_acquire)) return *index;
+  auto built = std::make_unique<const RunIndex>(RunIndex::build(records_));
+  const RunIndex* published = nullptr;
+  if (index_.compare_exchange_strong(published, built.get(),
+                                     std::memory_order_acq_rel,
+                                     std::memory_order_acquire)) {
+    return *built.release();
+  }
+  return *published;  // another thread won; `built` is freed on return
+}
+
+void ResultStore::add(RunRecord r) {
+  drop_index();
+  records_.push_back(std::move(r));
+}
+
+void ResultStore::reserve(std::size_t n) {
+  drop_index();
+  records_.reserve(n);
+}
 
 std::vector<const RunRecord*> ResultStore::filter(
     const std::string& task, const std::string& testcase_prefix) const {
@@ -158,12 +280,14 @@ std::vector<const RunRecord*> ResultStore::filter(
 }
 
 std::vector<RunRecord> ResultStore::drain() {
+  drop_index();
   std::vector<RunRecord> out = std::move(records_);
   records_.clear();
   return out;
 }
 
 std::size_t ResultStore::remove_ids(const std::vector<std::string>& ids) {
+  drop_index();
   const std::unordered_set<std::string> gone(ids.begin(), ids.end());
   const std::size_t before = records_.size();
   records_.erase(std::remove_if(records_.begin(), records_.end(),
@@ -190,6 +314,7 @@ ResultStore ResultStore::load(const std::string& path) {
 }
 
 void ResultStore::merge(const ResultStore& other) {
+  drop_index();
   records_.insert(records_.end(), other.records_.begin(), other.records_.end());
 }
 

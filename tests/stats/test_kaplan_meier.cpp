@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <utility>
+#include <vector>
+
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -101,7 +107,104 @@ TEST(KaplanMeier, Validation) {
   KaplanMeier km;
   EXPECT_THROW(km.add_event(-1.0), uucs::Error);
   EXPECT_THROW(km.add_censored(-0.5), uucs::Error);
+  EXPECT_THROW(km.add_events(-1.0, 3), uucs::Error);
+  EXPECT_THROW(km.add_censored(-0.5, 3), uucs::Error);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(km.add_event(nan), uucs::Error);
+  EXPECT_THROW(km.add_censored(nan), uucs::Error);
+  EXPECT_THROW(km.add_events(nan, 2), uucs::Error);
+  EXPECT_THROW(km.add_censored(nan, 2), uucs::Error);
+  EXPECT_EQ(km.size(), 0u);
   EXPECT_DOUBLE_EQ(km.discomfort_probability(1.0), 0.0);  // empty: no events
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Bit-for-bit equality of every view the figures read off an estimator.
+void expect_same_curve(const KaplanMeier& a, const KaplanMeier& b) {
+  EXPECT_EQ(a.event_count(), b.event_count());
+  EXPECT_EQ(a.censored_count(), b.censored_count());
+  const auto pa = a.curve_points();
+  const auto pb = b.curve_points();
+  ASSERT_EQ(pa.size(), pb.size());
+  for (std::size_t i = 0; i < pa.size(); ++i) {
+    EXPECT_EQ(bits(pa[i].first), bits(pb[i].first)) << i;
+    EXPECT_EQ(bits(pa[i].second), bits(pb[i].second)) << i;
+  }
+  for (const double x : {0.0, 0.3, 1.0, 1.7, 2.5, 4.0, 100.0}) {
+    EXPECT_EQ(bits(a.discomfort_probability(x)), bits(b.discomfort_probability(x))) << x;
+  }
+  for (const double q : {0.01, 0.05, 0.25, 0.5, 0.9, 1.0}) {
+    const auto la = a.level_at_probability(q);
+    const auto lb = b.level_at_probability(q);
+    ASSERT_EQ(la.has_value(), lb.has_value()) << q;
+    if (la) {
+      EXPECT_EQ(bits(*la), bits(*lb)) << q;
+    }
+  }
+}
+
+TEST(KaplanMeier, CountedAddsEqualRepeatedSingleAdds) {
+  // Random multiset of (level, event, n), with events and censorings tied
+  // at shared levels; inserted once with counts and once run by run, in
+  // a different order.
+  uucs::Rng rng(3);
+  const double levels[] = {0.25, 0.5, 1.0, 1.3, 2.0, 3.5, 7.0};
+  KaplanMeier counted;
+  KaplanMeier single;
+  std::vector<std::pair<double, bool>> runs;
+  for (int k = 0; k < 40; ++k) {
+    const double level = levels[rng.uniform_int(0, 6)];
+    const bool event = rng.bernoulli(0.6);
+    const auto n = static_cast<std::size_t>(rng.uniform_int(0, 50));
+    if (event) {
+      counted.add_events(level, n);
+    } else {
+      counted.add_censored(level, n);
+    }
+    for (std::size_t i = 0; i < n; ++i) runs.emplace_back(level, event);
+  }
+  for (std::size_t i = runs.size(); i-- > 0;) {
+    if (runs[i].second) {
+      single.add_event(runs[i].first);
+    } else {
+      single.add_censored(runs[i].first);
+    }
+  }
+  ASSERT_GT(counted.size(), 0u);
+  EXPECT_EQ(counted.size(), runs.size());
+  expect_same_curve(counted, single);
+}
+
+TEST(KaplanMeier, CountedEventAndCensoringTiedAtOneLevel) {
+  // 3 events and 5 censorings at 2.0 after 2 events at 1.0: the censored
+  // runs are at risk for the events at 2.0 (risk set 8 there).
+  KaplanMeier counted;
+  counted.add_censored(2.0, 5);
+  counted.add_events(2.0, 3);
+  counted.add_events(1.0, 2);
+  KaplanMeier single;
+  for (int i = 0; i < 2; ++i) single.add_event(1.0);
+  for (int i = 0; i < 3; ++i) single.add_event(2.0);
+  for (int i = 0; i < 5; ++i) single.add_censored(2.0);
+  expect_same_curve(counted, single);
+  EXPECT_NEAR(counted.discomfort_probability(1.0), 0.2, 1e-12);
+  EXPECT_NEAR(counted.discomfort_probability(2.0), 1.0 - 0.8 * (5.0 / 8.0), 1e-12);
+}
+
+TEST(KaplanMeier, ZeroCountIsNoOp) {
+  KaplanMeier km;
+  km.add_events(1.0, 0);
+  km.add_censored(2.0, 0);
+  EXPECT_EQ(km.size(), 0u);
+  EXPECT_TRUE(km.curve_points().empty());
+  km.add_event(1.0);
+  km.add_censored(1.0);
+  KaplanMeier with_zeros = km;
+  with_zeros.add_events(0.5, 0);
+  with_zeros.add_censored(0.5, 0);
+  with_zeros.add_events(1.0, 0);
+  expect_same_curve(with_zeros, km);
 }
 
 }  // namespace

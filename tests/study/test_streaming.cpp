@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -69,6 +71,59 @@ TEST(StudyAccumulator, BreakdownMatchesAnalysis) {
   }
 }
 
+TEST(StudyAccumulator, SingleResourceRuleMatchesAnalysisOnEveryPath) {
+  // Fig 9's CPU class is the exact canonical level key everywhere: runs
+  // keyed "CPU", " cpu", "mem" or "gpu" are "other" runs in the in-memory
+  // breakdown and on both accumulator paths, and nothing throws. A
+  // canonical trail longer than FlatRunRecord::kTrailMax, which the flat
+  // layout spills, is still a CPU run.
+  StringInterner pool;
+  ResultStore store;
+  const std::vector<double> short_trail = {0.5, 1.0};
+  const std::vector<double> long_trail = {0.5, 1.0, 1.5, 2.0, 2.5, 3.0};
+  std::size_t serial = 0;
+  const auto add = [&](const std::string& key, const std::vector<double>& trail,
+                       const std::string& task, bool discomforted) {
+    RunRecord rec;
+    rec.run_id = "run-" + std::to_string(serial++);
+    rec.task = task;
+    rec.testcase_id = "cpu-ramp-x2-t120";
+    rec.discomforted = discomforted;
+    rec.offset_s = 10.0;
+    rec.last_levels[key] = trail;
+    store.add(std::move(rec));
+  };
+  for (const std::string key : {"cpu", "CPU", " cpu", "mem", "gpu"}) {
+    add(key, short_trail, "word", true);
+    add(key, short_trail, "quake", false);
+  }
+  add("cpu", long_trail, "ie", true);
+
+  StudyAccumulator from_records(pool);
+  StudyAccumulator from_flat(pool);
+  for (const RunRecord& rec : store.records()) {
+    EXPECT_NO_THROW(from_records.add(rec));
+    EXPECT_NO_THROW(from_flat.add(FlatRunRecord::from_run_record(rec, pool)));
+  }
+  for (const BreakdownScope scope :
+       {BreakdownScope::kCpuAndBlank, BreakdownScope::kAllRuns}) {
+    for (std::size_t i = 0; i < sim::kTaskCount; ++i) {
+      const std::string& task = sim::task_name(sim::kAllTasks[i]);
+      analysis::RunBreakdown want;
+      ASSERT_NO_THROW(want = analysis::compute_breakdown(store, task, scope)) << task;
+      expect_breakdown_eq(from_records.breakdown(i, scope), want);
+      expect_breakdown_eq(from_flat.breakdown(i, scope), want);
+    }
+    const analysis::RunBreakdown total = analysis::compute_breakdown(store, "", scope);
+    expect_breakdown_eq(from_records.breakdown_total(scope), total);
+    expect_breakdown_eq(from_flat.breakdown_total(scope), total);
+  }
+  const analysis::RunBreakdown cpu =
+      analysis::compute_breakdown(store, "", BreakdownScope::kCpuAndBlank);
+  EXPECT_EQ(cpu.nonblank_discomforted, 2u);  // word "cpu", ie long "cpu"
+  EXPECT_EQ(cpu.nonblank_exhausted, 1u);     // quake "cpu"
+}
+
 TEST(StudyAccumulator, CellMetricsMatchAnalysis) {
   const StudyAccumulator acc = accumulate(mem_run().results);
   for (std::size_t ti = 0; ti <= StudyAccumulator::kAllTasks; ++ti) {
@@ -109,6 +164,45 @@ TEST(StudyAccumulator, KaplanMeierMatchesAnalysis) {
     for (std::size_t i = 0; i < wc.size(); ++i) {
       EXPECT_DOUBLE_EQ(gc[i].first, wc[i].first);
       EXPECT_DOUBLE_EQ(gc[i].second, wc[i].second);
+    }
+  }
+}
+
+TEST(StudyAccumulator, KaplanMeierFromCountsMatchesAnalysisAt20kUsers) {
+  // At 20k users every KM level carries thousands of tied runs, which the
+  // accumulator passes to the estimator as counts. Short sessions keep the
+  // in-memory reference store to ~4 runs per user.
+  ControlledStudyConfig cfg;
+  cfg.participants = 20000;
+  cfg.seed = 2006;
+  cfg.jobs = 0;
+  cfg.session_s = 240.0;
+  const ControlledStudyOutput mem = run_controlled_study(cfg, params());
+  cfg.streaming = true;
+  const ControlledStudyOutput streamed = run_controlled_study(cfg, params());
+  ASSERT_GT(mem.results.size(), 20000u);
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (std::size_t ri = 0; ri < kStudyResources.size(); ++ri) {
+    const stats::KaplanMeier want =
+        analysis::aggregate_km(mem.results, kStudyResources[ri]);
+    const stats::KaplanMeier got = streamed.aggregates->aggregate_km(ri);
+    ASSERT_GT(want.event_count(), 1000u) << ri;
+    EXPECT_EQ(got.event_count(), want.event_count()) << ri;
+    EXPECT_EQ(got.censored_count(), want.censored_count()) << ri;
+    const auto wc = want.curve_points();
+    const auto gc = got.curve_points();
+    ASSERT_EQ(gc.size(), wc.size()) << ri;
+    for (std::size_t i = 0; i < wc.size(); ++i) {
+      EXPECT_EQ(bits(gc[i].first), bits(wc[i].first)) << ri << "/" << i;
+      EXPECT_EQ(bits(gc[i].second), bits(wc[i].second)) << ri << "/" << i;
+    }
+    for (const double q : {0.05, 0.5}) {
+      const auto wl = want.level_at_probability(q);
+      const auto gl = got.level_at_probability(q);
+      ASSERT_EQ(gl.has_value(), wl.has_value()) << ri << "/" << q;
+      if (wl) {
+        EXPECT_EQ(bits(*gl), bits(*wl)) << ri << "/" << q;
+      }
     }
   }
 }

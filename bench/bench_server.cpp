@@ -24,10 +24,12 @@
 ///                [--workers N] [--shards N] [--group-commit-max N]
 ///                [--group-commit-wait-us N] [--json FILE] [--smoke]
 ///
+/// --records 0 makes every sync result-free (the testcase-fetch path).
 /// --smoke shrinks the swarm (200 connections, 1 proc), asserts the
 /// correctness floors (zero lost, zero duplicated, a minimum syncs/s), and
 /// exits nonzero on any violation — the CI guard for the ingest plane.
 
+#include <sched.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/types.h>
@@ -510,10 +512,18 @@ Options parse_options(int argc, char** argv) {
     opt.procs = 1;
   }
   if (opt.connections == 0 || opt.procs == 0 || opt.syncs <= 0 ||
-      opt.records <= 0 || opt.procs > opt.connections) {
+      opt.records < 0 || opt.procs > opt.connections) {
     usage();
   }
   return opt;
+}
+
+/// CPUs this process may run on — what the server and the swarm share.
+int affinity_cores() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (::sched_getaffinity(0, sizeof(set), &set) != 0) return 0;
+  return CPU_COUNT(&set);
 }
 
 }  // namespace
@@ -668,7 +678,7 @@ int main(int argc, char** argv) {
   const double acks_per_s =
       static_cast<double>(total.syncs_acked + total.registers) / wall_s;
   const double fsyncs_per_1k_acks =
-      total.records_acked == 0
+      total.syncs_acked + total.registers == 0
           ? 0.0
           : 1000.0 * static_cast<double>(fsyncs) /
                 static_cast<double>(total.syncs_acked + total.registers);
@@ -712,6 +722,15 @@ int main(int argc, char** argv) {
               "(%zu samples of %llu acks)\n",
               p50_us, p90_us, p99_us, latencies.size(),
               static_cast<unsigned long long>(total.latency_count));
+  // Acks whose LSN was already durable when the worker asked: they went
+  // out at once instead of waiting for a batch (result-free syncs).
+  std::printf("immediate acks     %llu of %llu (%.1f%%)\n",
+              static_cast<unsigned long long>(commit.immediate_acks),
+              static_cast<unsigned long long>(total.syncs_acked + total.registers),
+              100.0 * static_cast<double>(commit.immediate_acks) /
+                  static_cast<double>(std::max<std::uint64_t>(
+                      1, total.syncs_acked + total.registers)));
+  std::printf("cores              %d\n", affinity_cores());
 
   if (!opt.json_path.empty()) {
     std::string json = "{\n";
@@ -721,12 +740,7 @@ int main(int argc, char** argv) {
         "journal). Children forked before server threads drive nonblocking "
         "client state machines; every connection registers, hot-syncs, then "
         "stays open until the stats are sampled.\",\n";
-    json +=
-        "  \"host_note\": \"single-core container (nproc=1): server loop, "
-        "workers, committer and the swarm children time-slice one core, so "
-        "ack latency is dominated by run-queue waits, not by the commit "
-        "window; connections-held, exactly-once and the fsync reduction are "
-        "the portable results.\",\n";
+    json += uucs::strprintf("  \"cores\": %d,\n", affinity_cores());
     json += uucs::strprintf(
         "  \"config\": { \"connections\": %zu, \"procs\": %zu, \"syncs\": %d, "
         "\"records\": %d, \"workers\": %zu, \"shards\": %zu, "
@@ -758,9 +772,10 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(commit.largest_batch));
     json += uucs::strprintf(
         "  \"fsyncs\": %llu,\n  \"fsyncs_per_1k_acks\": %.2f,\n"
-        "  \"fsync_reduction_vs_per_append\": %.1f,\n",
+        "  \"fsync_reduction_vs_per_append\": %.1f,\n"
+        "  \"immediate_acks\": %llu,\n",
         static_cast<unsigned long long>(fsyncs), fsyncs_per_1k_acks,
-        fsync_reduction);
+        fsync_reduction, static_cast<unsigned long long>(commit.immediate_acks));
     json += uucs::strprintf(
         "  \"ack_latency_p50_us\": %.0f,\n  \"ack_latency_p90_us\": %.0f,\n"
         "  \"ack_latency_p99_us\": %.0f,\n",

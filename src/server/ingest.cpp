@@ -29,6 +29,7 @@ IngestServer::IngestServer(UucsServer& server, Config config, Clock* clock)
     }
     committer_ = std::make_unique<GroupCommitJournal>(*server_.mutable_journal(),
                                                       commit);
+    server_.attach_committer(committer_.get());
   }
   OverloadController::Config overload = config_.overload;
   if (overload.failpoints == nullptr) overload.failpoints = config_.failpoints;
@@ -54,7 +55,9 @@ void IngestServer::stop() {
   // completion queue nobody drains.
   loop_->stop();
   // Committer second: its destructor drains the backlog, so every queued
-  // entry is on disk before shutdown even though the acks go nowhere.
+  // entry is on disk before shutdown even though the acks go nowhere. The
+  // server must not hold on to it past that.
+  if (committer_) server_.attach_committer(nullptr);
   committer_.reset();
 }
 
@@ -137,6 +140,8 @@ std::string IngestServer::encode_stats_response() const {
     rec.set_int("journal.entries", static_cast<std::int64_t>(commit.entries));
     rec.set_int("journal.batches", static_cast<std::int64_t>(commit.batches));
     rec.set_int("journal.largest_batch", static_cast<std::int64_t>(commit.largest_batch));
+    rec.set_int("journal.immediate_acks", static_cast<std::int64_t>(commit.immediate_acks));
+    rec.set_int("journal.durable_lsn", static_cast<std::int64_t>(committer_->durable_lsn()));
     rec.set_int("journal.failed_batches", static_cast<std::int64_t>(commit.failed_batches));
     rec.set_int("journal.rejected_appends", static_cast<std::int64_t>(commit.rejected_appends));
     rec.set_int("journal.degraded_spells", static_cast<std::int64_t>(commit.degraded_spells));
@@ -195,59 +200,47 @@ void IngestServer::handle_request(std::string payload,
     respond.send(std::move(result.response));
     return;
   }
-  if (degraded && result.journal_entries.empty()) {
-    // Read-only during a degraded spell: nothing to make durable, and the
-    // usual ordering barrier is moot because every ack it could overtake is
-    // itself blocked (write-class is rejected above). Answer directly so
-    // reads stay served while the disk heals.
-    respond.send(std::move(result.response));
-    return;
-  }
-  // With a journal, *every* response rides the committer — entries when the
-  // request accepted state, an empty barrier otherwise — so no ack (not even
-  // "duplicate, already stored") can overtake the fsync that makes the
-  // state it refers to durable.
-  const std::size_t new_entries = result.journal_entries.size();
-  // Precompute the failure reply: the durability callback runs on the
-  // commit thread, where building a v3 busy message is still cheap, but the
-  // decision (typed reply vs silent dismiss) belongs here with the peek.
-  std::string busy;
-  if (peek.protocol_version >= 3) {
-    busy = encode_busy("degraded", "journal degraded; entry not durable",
-                       overload_->retry_after_ms());
-  }
-  committer_->append_async(
-      std::move(result.journal_entries),
-      [respond, response = std::move(result.response),
-       busy = std::move(busy)](bool durable) mutable {
+  // The server queued the request's entries on the committer under the lock
+  // that published them, and result.lsn is the newest entry the response
+  // observed — its own, or the original behind a duplicate upload or a
+  // repeated nonce. No ack, not even "duplicate, already stored", leaves
+  // before that LSN is on disk. A result-free sync observed nothing and is
+  // answered here on the worker, degraded journal or not.
+  // The decision between a typed reply and a silent dismiss belongs here
+  // with the peek; the busy message itself is built only if the wait fails.
+  const bool typed_busy = peek.protocol_version >= 3;
+  const std::uint64_t retry_after_ms = overload_->retry_after_ms();
+  committer_->wait(
+      result.lsn, [respond, response = std::move(result.response), typed_busy,
+                   retry_after_ms](bool durable) mutable {
         if (durable) {
           respond.send(std::move(response));
-        } else if (!busy.empty()) {
+        } else if (typed_busy) {
           // Never ack — the journal did not record the entries. A v3 client
           // gets a typed DEGRADED and retries after the hint; dedup absorbs
           // the replay once the disk heals.
-          respond.send(std::move(busy));
+          respond.send(encode_busy("degraded", "journal degraded; entry not durable",
+                                   retry_after_ms));
         } else {
           // Pre-v3: release the slot silently; the client times out and
           // retries. Either way the request slot must not leak.
           respond.dismiss();
         }
       });
-  if (new_entries > 0) maybe_snapshot(new_entries);
+  maybe_snapshot(result.lsn);
 }
 
-void IngestServer::maybe_snapshot(std::size_t new_entries) {
+void IngestServer::maybe_snapshot(std::uint64_t lsn) {
   if (config_.snapshot_every == 0 || config_.state_dir.empty()) return;
-  const std::uint64_t total =
-      entries_since_snapshot_.fetch_add(new_entries, std::memory_order_acq_rel) +
-      new_entries;
-  if (total < config_.snapshot_every) return;
-  do_snapshot(/*force=*/false);
+  if (lsn < snapshot_lsn_.load(std::memory_order_relaxed) + config_.snapshot_every) {
+    return;
+  }
+  do_snapshot(lsn);
 }
 
-void IngestServer::snapshot_now() { do_snapshot(/*force=*/true); }
+void IngestServer::snapshot_now() { do_snapshot(/*trigger_lsn=*/0); }
 
-void IngestServer::do_snapshot(bool force) {
+void IngestServer::do_snapshot(std::uint64_t trigger_lsn) {
   std::lock_guard<std::mutex> lock(snapshot_mu_);
   if (committer_ && committer_->health() != GroupCommitJournal::Health::kOk) {
     // A snapshot compacts the journal from in-memory state, which would
@@ -256,11 +249,12 @@ void IngestServer::do_snapshot(bool force) {
     log_warn("ingest", "snapshot skipped: journal not healthy");
     return;
   }
-  if (!force &&
-      entries_since_snapshot_.load(std::memory_order_acquire) < config_.snapshot_every) {
-    return;  // a racing worker already snapshotted this threshold
+  if (trigger_lsn != 0) {
+    if (trigger_lsn < snapshot_lsn_.load(std::memory_order_relaxed) + config_.snapshot_every) {
+      return;  // a racing worker already snapshotted this threshold
+    }
+    snapshot_lsn_.store(trigger_lsn, std::memory_order_relaxed);
   }
-  entries_since_snapshot_.store(0, std::memory_order_release);
   const std::string dir = config_.state_dir.empty() ? "." : config_.state_dir;
   try {
     if (committer_) {

@@ -22,12 +22,15 @@ namespace uucs {
 /// GroupCommitJournal that coalesces every concurrent ack's durability into
 /// one buffered write + one fsync.
 ///
-/// Ack protocol: a request that accepted new state gets its response only
-/// from the batch-durability callback; a request that accepted nothing
-/// (read-only sync, duplicate upload, error) is routed through the committer
-/// as an ordering barrier, so even an "already stored" ack cannot overtake
-/// the fsync of the batch carrying the original entry. Without a journal,
-/// responses leave as soon as the worker finishes.
+/// Ack protocol (DESIGN.md §13): the server queues each request's journal
+/// entries on the committer while it still holds the lock that publishes
+/// them, and reports the highest log sequence number (LSN) the response
+/// observed — its own entries, or the original behind a duplicate upload or
+/// a repeated nonce. The response leaves once the committer's durable LSN
+/// reaches it: from the commit thread after the covering fsync, or at once
+/// on the worker when it is already durable. A result-free sync observes
+/// nothing and never waits for a batch. Without a journal, responses leave
+/// as soon as the worker finishes.
 ///
 /// Exactly-once is end-to-end unchanged from the blocking stack: clients
 /// mint run_ids, the server dedups them, and nothing is acked before it is
@@ -37,7 +40,7 @@ class IngestServer {
   struct Config {
     EventLoopServer::Config loop;
     GroupCommitJournal::Config commit;
-    /// Accepted journal entries between automatic snapshots (0: never).
+    /// Journal entries (LSNs) between automatic snapshots (0: never).
     /// Snapshots run server.save(state_dir) inside the committer's
     /// exclusive section, then the journal restarts empty.
     std::size_t snapshot_every = 0;
@@ -112,15 +115,17 @@ class IngestServer {
   void handle_request(std::string payload, EventLoopServer::Responder respond);
   void shed(const RequestPeek& peek, EventLoopServer::Responder respond,
             const std::string& kind, const std::string& message);
-  void maybe_snapshot(std::size_t new_entries);
-  void do_snapshot(bool force);
+  void maybe_snapshot(std::uint64_t lsn);
+  /// `trigger_lsn` 0 forces a snapshot; otherwise it is skipped when a
+  /// racing worker already took the threshold that LSN crossed.
+  void do_snapshot(std::uint64_t trigger_lsn);
 
   UucsServer& server_;
   Config config_;
   Clock* clock_;
   std::unique_ptr<GroupCommitJournal> committer_;
   std::unique_ptr<OverloadController> overload_;
-  std::atomic<std::uint64_t> entries_since_snapshot_{0};
+  std::atomic<std::uint64_t> snapshot_lsn_{0};  ///< LSN that triggered the last snapshot
   std::atomic<std::uint64_t> snapshots_{0};
   std::mutex snapshot_mu_;
   std::atomic<bool> stopped_{false};

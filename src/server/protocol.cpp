@@ -287,7 +287,8 @@ namespace {
 
 /// Shared dispatch body. `journal_out == nullptr` is the blocking path (the
 /// server journals + fsyncs internally before returning); non-null is the
-/// deferred path (entries come back for the caller's group commit).
+/// deferred path (entries are queued on the server's committer, whose LSN
+/// comes back in `*lsn_out`, or handed back when none is attached).
 ///
 /// The parse is zero-copy: the request is sliced into a per-worker-thread
 /// KvDoc arena whose index vectors stay warm across requests, so the
@@ -296,7 +297,8 @@ namespace {
 /// (or the same thread dispatches again) — everything that outlives the
 /// call (run records, registration state) is copied by the decoders.
 std::string dispatch_impl(UucsServer& server, std::string_view request,
-                          Clock* clock, std::vector<std::string>* journal_out) {
+                          Clock* clock, std::vector<std::string>* journal_out,
+                          std::uint64_t* lsn_out) {
   try {
     thread_local KvDoc doc;
     doc.parse(request);
@@ -313,17 +315,18 @@ std::string dispatch_impl(UucsServer& server, std::string_view request,
       const HostSpec host = HostSpec::from_record(doc.at(1).materialize());
       const Guid guid = server.register_client(host, clock ? clock->now() : 0.0,
                                                doc.at(0).get_or("nonce", ""),
-                                               journal_out);
+                                               journal_out, lsn_out);
       return encode_register_response(guid, negotiated);
     }
     if (op == "sync-request") {
       const SyncRequest req = decode_sync_request(doc);
-      return encode_sync_response(server.hot_sync(req, journal_out));
+      return encode_sync_response(server.hot_sync(req, journal_out, lsn_out));
     }
     return encode_error("unknown operation '" + std::string(op) + "'");
   } catch (const std::exception& e) {
     // An error response acknowledges nothing, so nothing needs durability.
     if (journal_out != nullptr) journal_out->clear();
+    if (lsn_out != nullptr) *lsn_out = 0;
     return encode_error(e.what());
   }
 }
@@ -332,14 +335,15 @@ std::string dispatch_impl(UucsServer& server, std::string_view request,
 
 std::string dispatch_request(UucsServer& server, std::string_view request,
                              Clock* clock) {
-  return dispatch_impl(server, request, clock, nullptr);
+  return dispatch_impl(server, request, clock, nullptr, nullptr);
 }
 
 DispatchResult dispatch_request_deferred(UucsServer& server,
                                          std::string_view request,
                                          Clock* clock) {
   DispatchResult result;
-  result.response = dispatch_impl(server, request, clock, &result.journal_entries);
+  result.response =
+      dispatch_impl(server, request, clock, &result.journal_entries, &result.lsn);
   return result;
 }
 

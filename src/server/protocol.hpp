@@ -134,20 +134,31 @@ RequestPeek peek_request(std::string_view request) noexcept;
 std::string dispatch_request(UucsServer& server, std::string_view request,
                              Clock* clock = nullptr);
 
-/// Result of a deferred-durability dispatch: the encoded response plus the
-/// journal entries that must be made durable *before* the response is
-/// released to the client. Empty `journal_entries` (read-only or duplicate
-/// requests, errors) means the response may be sent at once.
+/// Result of a deferred-durability dispatch: the encoded response plus what
+/// must be durable *before* it is released to the client.
+///
+/// With a committer attached to the server (UucsServer::attach_committer),
+/// the request's entries are already queued on it and `lsn` is the highest
+/// LSN the response observed: its own entries, the original behind a
+/// duplicate upload, or the registration a repeated nonce returns. Release
+/// the response once the committer's durable LSN reaches it
+/// (GroupCommitJournal::wait); 0 — a result-free sync or an error — may go
+/// at once.
+///
+/// Without a committer, `journal_entries` holds the new entries for the
+/// caller to make durable first. An empty list does NOT mean "send at
+/// once": a duplicate's original may not even be queued yet.
 struct DispatchResult {
   std::string response;
   std::vector<std::string> journal_entries;
+  std::uint64_t lsn = 0;
 };
 
-/// Like dispatch_request, but does not touch the journal itself: new state
-/// is applied in memory and the entries that make it durable are handed
-/// back. The ingest plane feeds them to the group-commit journal and sends
-/// the response from the batch's durability callback, which is what lets
-/// thousands of concurrent acks share one fsync.
+/// Like dispatch_request, but does not fsync: new state is applied in
+/// memory and its entries are queued on the server's committer (or handed
+/// back when none is attached). The ingest plane sends the response once
+/// its LSN is durable, which is what lets thousands of concurrent acks
+/// share one fsync.
 DispatchResult dispatch_request_deferred(UucsServer& server,
                                          std::string_view request,
                                          Clock* clock = nullptr);

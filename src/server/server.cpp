@@ -60,8 +60,10 @@ UucsServer::UucsServer(UucsServer&& other) noexcept
     : testcases_(std::move(other.testcases_)),
       shards_(std::move(other.shards_)),
       reg_nonces_(std::move(other.reg_nonces_)),
+      reg_lsn_(other.reg_lsn_),
       sample_batch_(other.sample_batch_),
       journal_(std::move(other.journal_)),
+      committer_(std::exchange(other.committer_, nullptr)),
       generation_(other.generation_.load(std::memory_order_relaxed)),
       merged_results_(std::move(other.merged_results_)),
       merged_version_(other.merged_version_),
@@ -72,8 +74,10 @@ UucsServer& UucsServer::operator=(UucsServer&& other) noexcept {
     testcases_ = std::move(other.testcases_);
     shards_ = std::move(other.shards_);
     reg_nonces_ = std::move(other.reg_nonces_);
+    reg_lsn_ = other.reg_lsn_;
     sample_batch_ = other.sample_batch_;
     journal_ = std::move(other.journal_);
+    committer_ = std::exchange(other.committer_, nullptr);
     generation_.store(other.generation_.load(std::memory_order_relaxed),
                       std::memory_order_relaxed);
     merged_results_ = std::move(other.merged_results_);
@@ -150,17 +154,32 @@ void UucsServer::append_blocking(const std::vector<std::string>& entries) {
   journal_->append_batch(entries);
 }
 
+void UucsServer::attach_committer(GroupCommitJournal* committer) {
+  committer_ = committer;
+  for (auto& shard : shards_) {
+    std::lock_guard lock(shard->mu);
+    shard->lsn = 0;
+  }
+  std::lock_guard reg_lock(reg_mu_);
+  reg_lsn_ = 0;
+}
+
 Guid UucsServer::register_client(const HostSpec& host, double now,
                                  const std::string& nonce,
-                                 std::vector<std::string>* journal_out) {
-  std::lock_guard reg_lock(reg_mu_);
+                                 std::vector<std::string>* journal_out,
+                                 std::uint64_t* lsn_out) {
+  GroupCommitJournal* const committer =
+      journal_ && journal_out != nullptr ? committer_ : nullptr;
+  std::unique_lock reg_lock(reg_mu_);
   if (!nonce.empty()) {
     const auto it = reg_nonces_.find(nonce);
     if (it != reg_nonces_.end()) {
       // Retry of a registration whose response was lost: same client, same
-      // GUID — no orphan row, nothing new to journal.
+      // GUID — no orphan row, nothing new to journal. The original's entry
+      // was queued under this lock, so the table's LSN covers it.
       log_info("server", "duplicate registration (nonce " + nonce +
                              ") -> existing client " + it->second.to_string());
+      if (lsn_out != nullptr) *lsn_out = reg_lsn_;
       return it->second;
     }
   }
@@ -177,9 +196,12 @@ Guid UucsServer::register_client(const HostSpec& host, double now,
   const Guid guid = reg.guid;
   if (journal_) {
     std::vector<std::string> entries{kv_serialize({registration_record(guid, reg)})};
-    if (journal_out != nullptr) {
-      // Deferred-ack path: the caller owns durability (group commit) and
-      // must fsync these before the response leaves the server.
+    if (committer != nullptr) {
+      reg_lsn_ = committer->append(std::move(entries));
+      if (lsn_out != nullptr) *lsn_out = reg_lsn_;
+    } else if (journal_out != nullptr) {
+      // Deferred-ack path without a committer: the caller owns durability
+      // and must fsync these before the response leaves the server.
       for (auto& e : entries) journal_out->push_back(std::move(e));
     } else {
       append_blocking(entries);
@@ -191,6 +213,8 @@ Guid UucsServer::register_client(const HostSpec& host, double now,
     std::lock_guard shard_lock(shard.mu);
     shard.clients.emplace(guid, std::move(reg));
   }
+  reg_lock.unlock();
+  if (committer != nullptr) committer->notify();
   log_info("server", "registered client " + guid.to_string());
   return guid;
 }
@@ -228,13 +252,17 @@ bool UucsServer::has_result(const std::string& run_id) const {
 }
 
 SyncResponse UucsServer::hot_sync(const SyncRequest& request,
-                                  std::vector<std::string>* journal_out) {
+                                  std::vector<std::string>* journal_out,
+                                  std::uint64_t* lsn_out) {
+  GroupCommitJournal* const committer =
+      journal_ && journal_out != nullptr ? committer_ : nullptr;
   Shard& shard = shard_of(request.guid);
   SyncResponse response;
   response.protocol_version =
       request.protocol_version == 0 ? 1 : request.protocol_version;
   response.server_generation = generation();
   std::vector<std::string> journal_entries;
+  bool queued = false;
   {
     std::lock_guard shard_lock(shard.mu);
     const auto it = shard.clients.find(request.guid);
@@ -288,12 +316,27 @@ SyncResponse UucsServer::hot_sync(const SyncRequest& request,
     }
     ++reg.sync_count;
     if (request.sync_seq > reg.last_sync_seq) reg.last_sync_seq = request.sync_seq;
+
+    // Queued before the shard lock drops, so a duplicate of any of these
+    // run_ids — which can only be seen under this lock — finds shard.lsn
+    // at or past their LSN.
+    if (committer != nullptr) {
+      if (!journal_entries.empty()) {
+        shard.lsn = committer->append(std::move(journal_entries));
+        queued = true;
+      }
+      if (lsn_out != nullptr) *lsn_out = request.results.empty() ? 0 : shard.lsn;
+    }
+  }
+  if (committer != nullptr) {
+    if (queued) committer->notify();
+    return response;
   }
 
   // Durable before acknowledged: once the response leaves, a crash cannot
   // lose what it acked. The blocking path fsyncs here; the deferred path
-  // hands the entries to the caller's group commit, which fsyncs the batch
-  // before releasing any of its responses.
+  // hands the entries to the caller, which fsyncs them before releasing
+  // the response.
   if (journal_ && !journal_entries.empty()) {
     if (journal_out != nullptr) {
       for (auto& e : journal_entries) journal_out->push_back(std::move(e));

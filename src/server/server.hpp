@@ -119,12 +119,17 @@ class UucsServer {
   ///
   /// With a journal attached and `journal_out == nullptr`, the registration
   /// entry is appended (fsync'd) before this returns. With `journal_out`
-  /// non-null the entry is handed back instead, and the caller must make it
-  /// durable before releasing the response — the ingest plane routes it
-  /// through the group-commit journal and acks on batch fsync.
+  /// non-null the caller owns durability and must not release the response
+  /// before the entry is on disk. With a committer attached (see
+  /// attach_committer) the entry is queued on it under the lock that
+  /// publishes the registration, and `*lsn_out` receives the LSN the
+  /// response observed: the new entry's, or for a repeated nonce the
+  /// registration table's high-water LSN, which covers the original. With
+  /// no committer the entry is handed back in `journal_out` instead.
   Guid register_client(const HostSpec& host, double now = 0.0,
                        const std::string& nonce = "",
-                       std::vector<std::string>* journal_out = nullptr);
+                       std::vector<std::string>* journal_out = nullptr,
+                       std::uint64_t* lsn_out = nullptr);
 
   /// True if `guid` belongs to a registered client.
   bool is_registered(const Guid& guid) const;
@@ -137,10 +142,15 @@ class UucsServer {
   ///
   /// Journal handling matches register_client: with `journal_out` null the
   /// accepted results are appended + fsync'd before returning; non-null
-  /// hands the entries back for the caller's group commit, which must fsync
-  /// them before the response (the ack) leaves the server.
+  /// defers durability to the caller, which must not release the response
+  /// (the ack) before it holds. With a committer attached the entries are
+  /// queued under the shard lock, and `*lsn_out` receives the shard's
+  /// high-water LSN when the request carried results (it covers both the
+  /// new entries and the original behind a duplicate) and 0 when it carried
+  /// none: a result-free sync observes no journaled state.
   SyncResponse hot_sync(const SyncRequest& request,
-                        std::vector<std::string>* journal_out = nullptr);
+                        std::vector<std::string>* journal_out = nullptr,
+                        std::uint64_t* lsn_out = nullptr);
 
   /// True if a result with this run_id has been stored via hot_sync (or
   /// recovered from a snapshot/journal).
@@ -165,6 +175,16 @@ class UucsServer {
   bool has_journal() const { return journal_ != nullptr; }
   const Journal* journal() const { return journal_.get(); }
   Journal* mutable_journal() { return journal_.get(); }
+
+  /// Hands the deferred-durability path (`journal_out` non-null) to
+  /// `committer`, a GroupCommitJournal over this server's journal; nullptr
+  /// hands it back. While attached, register_client and hot_sync queue
+  /// their entries on it under the lock that publishes their state, so a
+  /// duplicate or a repeated nonce — which reads that state under the same
+  /// lock — always observes an LSN at or past the original's. They ring
+  /// the committer's notify() after releasing the lock. Call quiesced: the
+  /// LSN high-water marks restart at 0 for the new committer.
+  void attach_committer(GroupCommitJournal* committer);
 
   /// Persists stores as text files under `dir` (testcases.txt, results.txt,
   /// registrations.txt). With a journal attached, the journal is compacted
@@ -197,6 +217,7 @@ class UucsServer {
     std::unordered_set<std::string> seen_run_ids;  ///< dedup index over results
     ResultStore results;
     Rng rng{1};  ///< growing-sample draws for clients homed here
+    std::uint64_t lsn = 0;  ///< highest committer LSN queued for this shard
   };
 
   Shard& shard_of(const Guid& guid) const;
@@ -215,10 +236,12 @@ class UucsServer {
   /// before any shard lock; never taken while one is held.
   mutable std::mutex reg_mu_;
   std::map<std::string, Guid> reg_nonces_;
+  std::uint64_t reg_lsn_ = 0;  ///< highest committer LSN of a registration
 
   std::size_t sample_batch_;
   std::unique_ptr<Journal> journal_;
   mutable std::mutex journal_mu_;  ///< serializes blocking appends
+  GroupCommitJournal* committer_ = nullptr;  ///< see attach_committer
 
   std::atomic<std::uint64_t> generation_{0};
 

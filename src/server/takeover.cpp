@@ -78,12 +78,15 @@ std::string read_frame(int fd, FrameReader& reader, double timeout_s,
   std::string payload;
   if (reader.next(payload)) return payload;
   const Deadline deadline(timeout_s);
-  char buf[4096];
   for (;;) {
     wait_fd(fd, POLLIN, deadline, what);
-    const ssize_t n = ::read(fd, buf, sizeof(buf));
+    // One byte at a time, so a read never runs past the frame: the byte
+    // after the takeover-accept frame may carry the listener (send_fd_msg),
+    // and a plain read(2) that consumes it silently drops the passed fd.
+    char byte = 0;
+    const ssize_t n = ::read(fd, &byte, 1);
     if (n > 0) {
-      reader.feed(buf, static_cast<std::size_t>(n));
+      reader.feed(&byte, 1);
       if (reader.next(payload)) return payload;
       continue;
     }

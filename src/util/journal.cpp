@@ -244,42 +244,59 @@ GroupCommitJournal::~GroupCommitJournal() {
   if (committer_.joinable()) committer_.join();
 }
 
-void GroupCommitJournal::append_async(std::vector<std::string> entries,
-                                      std::function<void(bool)> on_durable) {
-  // Empty appends are ordering barriers: they ride the pending queue and
-  // complete only once everything queued before them is durable. The ingest
-  // plane routes duplicate-acks through here so an "already stored" response
-  // can never overtake the fsync of the batch holding the original entry.
-  bool reject = false;
-  {
+std::uint64_t GroupCommitJournal::append(std::vector<std::string> entries) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (entries.empty()) return last_lsn_;
+  last_lsn_ += entries.size();
+  const Health h = health_.load(std::memory_order_relaxed);
+  if (h == Health::kOk) {
+    for (std::string& e : entries) pending_.push_back(std::move(e));
+    if (idle_waiting_ || (linger_cap_ != 0 && pending_.size() >= linger_cap_)) {
+      wake_due_.store(true, std::memory_order_relaxed);
+    }
+    return last_lsn_;
+  }
+  // Degraded or broken: nothing queued now can become durable before the
+  // parked backlog replays, so wait() fails these LSNs at once — the caller
+  // answers with a typed DEGRADED rejection (or stays silent and lets the
+  // client time out) instead of trusting a lost write. The payloads were
+  // already applied in memory by dispatch (the ingest plane gates writes
+  // pre-dispatch while degraded, but a health flip can race that check),
+  // so they join the parked backlog: recovery replays them before any wait
+  // on them can succeed.
+  ++stats_.rejected_appends;
+  if (h == Health::kDegraded) {
+    for (std::string& e : entries) parked_.push_back(std::move(e));
+    stats_.parked_entries = parked_.size();
+  }
+  return last_lsn_;
+}
+
+void GroupCommitJournal::wait(std::uint64_t lsn,
+                              std::function<void(bool)> on_durable) {
+  bool durable = true;
+  if (lsn > durable_lsn_.load(std::memory_order_acquire)) {
     std::lock_guard<std::mutex> lock(mu_);
-    const Health h = health_.load(std::memory_order_relaxed);
-    if (h != Health::kOk || stopping_) {
-      // Degraded or broken: nothing queued now can become durable before
-      // the parked backlog replays, so fail the ack immediately — the
-      // caller answers with a typed DEGRADED rejection (or stays silent and
-      // lets the client time out) instead of trusting a lost write.
-      // The payloads themselves were already applied in memory by dispatch
-      // (the ingest plane gates writes pre-dispatch while degraded, but a
-      // health flip can race that check), so they join the parked backlog:
-      // recovery replays them before any ack can refer to them again.
-      ++stats_.rejected_appends;
-      if (h == Health::kDegraded && !stopping_) {
-        for (std::string& e : entries) parked_.push_back(std::move(e));
-        stats_.parked_entries = parked_.size();
+    // Re-checked under the lock the commit thread publishes durable_lsn_
+    // and collects waiters under, so a queued waiter cannot miss its batch.
+    if (lsn > durable_lsn_.load(std::memory_order_relaxed)) {
+      if (health_.load(std::memory_order_relaxed) == Health::kOk && !stopping_) {
+        waiters_.push_back({lsn, std::move(on_durable)});
+        return;
       }
-      reject = true;
-    } else {
-      ++stats_.async_appends;
-      pending_entries_ += entries.size();
-      pending_.push_back({std::move(entries), std::move(on_durable)});
+      durable = false;
     }
   }
-  if (reject) {
-    if (on_durable) on_durable(false);
-    return;
-  }
-  work_cv_.notify_one();
+  if (durable) immediate_acks_.fetch_add(1, std::memory_order_relaxed);
+  if (on_durable) on_durable(durable);
+}
+
+void GroupCommitJournal::append_async(std::vector<std::string> entries,
+                                      std::function<void(bool)> on_durable) {
+  const bool queued = !entries.empty();
+  const std::uint64_t lsn = append(std::move(entries));
+  if (queued) notify();
+  wait(lsn, std::move(on_durable));
 }
 
 void GroupCommitJournal::append_sync(std::vector<std::string> entries) {
@@ -288,10 +305,6 @@ void GroupCommitJournal::append_sync(std::vector<std::string> entries) {
   std::condition_variable done_cv;
   bool done = false;
   bool ok = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.sync_appends;
-  }
   append_async(std::move(entries), [&](bool durable) {
     std::lock_guard<std::mutex> lock(done_mu);
     done = true;
@@ -308,9 +321,9 @@ void GroupCommitJournal::append_sync(std::vector<std::string> entries) {
 void GroupCommitJournal::flush() {
   std::unique_lock<std::mutex> lock(mu_);
   work_cv_.notify_all();
-  // Degraded mode keeps pending_ empty (appends are rejected at the door),
+  // Degraded mode keeps pending_ empty (appends are parked at the door),
   // so flush() does not wait out a recovery — parked entries were never
-  // acked and owe nobody a durability barrier.
+  // acked and every wait on them has already failed.
   state_cv_.wait(lock, [&] {
     return (pending_.empty() && !committing_) || stopping_;
   });
@@ -349,7 +362,9 @@ void GroupCommitJournal::with_exclusive(const std::function<void()>& fn) {
 
 GroupCommitJournal::Stats GroupCommitJournal::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  Stats s = stats_;
+  s.immediate_acks = immediate_acks_.load(std::memory_order_relaxed);
+  return s;
 }
 
 std::size_t GroupCommitJournal::effective_batch_cap() const {
@@ -433,14 +448,20 @@ void GroupCommitJournal::attempt_recovery(std::unique_lock<std::mutex>& lock) {
   std::string why;
   double seconds = 0.0;
   // Parked entries replay FIRST, before any new append can queue: requests
-  // whose state they carry were applied in memory, so a later duplicate-ack
-  // barrier must find them already on disk.
+  // whose state they carry were applied in memory, and their LSNs precede
+  // every LSN assigned after recovery.
   const bool ok = write_batch(parked, &broken, &why, &seconds);
 
   lock.lock();
   committing_ = false;
   if (ok) {
     if (!parked.empty()) {
+      // The parked backlog is every LSN after the durable one, in order.
+      // No waiter needs releasing: wait() fails instead of queueing while
+      // degraded, and the failure that degraded the journal settled every
+      // waiter queued before it.
+      durable_lsn_.store(durable_lsn_.load(std::memory_order_relaxed) + parked.size(),
+                         std::memory_order_release);
       ++stats_.batches;
       stats_.entries += parked.size();
       stats_.largest_batch = std::max(stats_.largest_batch, parked.size());
@@ -467,10 +488,31 @@ void GroupCommitJournal::attempt_recovery(std::unique_lock<std::mutex>& lock) {
   work_cv_.notify_all();
 }
 
+void GroupCommitJournal::collect_waiters(bool ok) {
+  const std::uint64_t durable = durable_lsn_.load(std::memory_order_relaxed);
+  auto keep = waiters_.begin();
+  for (auto it = waiters_.begin(); it != waiters_.end(); ++it) {
+    if (!ok || it->lsn <= durable) {
+      ready_.push_back(std::move(*it));
+    } else {
+      if (keep != it) *keep = std::move(*it);
+      ++keep;
+    }
+  }
+  waiters_.erase(keep, waiters_.end());
+}
+
+void GroupCommitJournal::fire_ready(bool ok) {
+  for (Waiter& w : ready_) {
+    if (w.on_durable) w.on_durable(ok);
+  }
+  ready_.clear();
+}
+
 void GroupCommitJournal::commit_loop() {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    if (stopping_ && pending_.empty()) return;
+    if (stopping_ && pending_.empty()) break;
     const Health h = health_.load(std::memory_order_relaxed);
     if (h == Health::kDegraded && !stopping_) {
       // Appends are rejected at the door while degraded, so the only job is
@@ -493,11 +535,13 @@ void GroupCommitJournal::commit_loop() {
     // backlog to drain, so the loop must keep committing (the linger window
     // below is skipped to get there faster). Only an *active* exclusive
     // section parks it.
+    idle_waiting_ = true;
     work_cv_.wait(lock, [&] {
       return stopping_ || (!pending_.empty() && !exclusive_active_);
     });
+    idle_waiting_ = false;
     if (pending_.empty()) {
-      if (stopping_) return;
+      if (stopping_) break;
       continue;  // woken for an exclusive section; state_cv_ handles it
     }
     // Group window: linger briefly for stragglers so concurrent syncs
@@ -506,37 +550,28 @@ void GroupCommitJournal::commit_loop() {
     // cadence drops instead of the ack queue growing without bound.
     const std::size_t batch_cap = effective_batch_cap();
     const std::uint32_t wait_us = effective_wait_us();
-    if (wait_us > 0 && pending_entries_ < batch_cap && !stopping_) {
+    if (wait_us > 0 && pending_.size() < batch_cap && !stopping_) {
+      linger_cap_ = batch_cap;
       work_cv_.wait_for(lock, std::chrono::microseconds(wait_us), [&] {
-        return stopping_ || pending_entries_ >= batch_cap ||
+        return stopping_ || pending_.size() >= batch_cap ||
                exclusive_waiters_ > 0;
       });
+      linger_cap_ = 0;
     }
-    std::vector<Pending> batch;
-    batch.swap(pending_);
-    pending_entries_ = 0;
+    // Swapping keeps both vectors' capacity warm across batches.
+    batch_.swap(pending_);
+    const std::uint64_t batch_lsn = last_lsn_;
     committing_ = true;
     const bool widened = slow_mode_;
     lock.unlock();
 
-    std::vector<std::string> payloads;
-    std::size_t count = 0;
-    for (const Pending& p : batch) count += p.entries.size();
-    payloads.reserve(count);
-    for (Pending& p : batch) {
-      for (std::string& e : p.entries) payloads.push_back(std::move(e));
-    }
-    bool ok = true;
     bool broken = false;
     std::string why;
     double seconds = 0.0;
-    if (!payloads.empty()) {
-      ok = write_batch(payloads, &broken, &why, &seconds);
-    }
+    const bool ok = write_batch(batch_, &broken, &why, &seconds);
     // Record the batch before releasing any ack, so an observer woken by an
     // ack never sees stats that lag the durability it was just promised.
     lock.lock();
-    std::vector<Pending> stranded;  ///< queued during the failed attempt
     if (!ok) {
       ++stats_.failed_batches;
       if (broken) {
@@ -548,47 +583,40 @@ void GroupCommitJournal::commit_loop() {
           log_warn("journal", "group commit degraded: " + why);
         }
         health_.store(Health::kDegraded, std::memory_order_release);
-        // Park the failed batch's payloads: they replay ahead of everything
-        // else on recovery, restoring "applied in memory implies on disk"
-        // before any new ack can be released.
-        for (std::string& p : payloads) parked_.push_back(std::move(p));
+        // Park the failed batch and everything queued behind it, in LSN
+        // order: dispatch already applied them in memory, so they replay
+        // ahead of any new entry on recovery, restoring "applied in memory
+        // implies on disk" before any wait on them can succeed.
+        for (std::string& p : batch_) parked_.push_back(std::move(p));
+        for (std::string& p : pending_) parked_.push_back(std::move(p));
         stats_.parked_entries = parked_.size();
       }
-      // Appends that slipped in while this batch was failing are failed like
-      // any append arriving after the health flip — but their payloads were
-      // already applied in memory by dispatch, so they must be parked for
-      // the recovery replay too, not dropped.
-      stranded.swap(pending_);
-      stats_.rejected_appends += stranded.size();
-      pending_entries_ = 0;
-      if (!broken) {
-        for (Pending& p : stranded) {
-          for (std::string& e : p.entries) parked_.push_back(std::move(e));
-        }
-        stats_.parked_entries = parked_.size();
-      }
-    } else if (count > 0) {  // barrier-only batches touched no disk
+      pending_.clear();
+    } else {
+      durable_lsn_.store(batch_lsn, std::memory_order_release);
       ++stats_.batches;
-      stats_.entries += count;
-      stats_.largest_batch = std::max(stats_.largest_batch, count);
+      stats_.entries += batch_.size();
+      stats_.largest_batch = std::max(stats_.largest_batch, batch_.size());
       if (widened) ++stats_.widened_batches;
       note_batch_seconds(seconds);
     }
+    // A failed batch fails every waiter: the ones on it and the ones on
+    // entries queued behind it, which were just parked.
+    collect_waiters(ok);
     lock.unlock();
 
     // Acks release strictly after the batch hit disk (or failed).
-    for (Pending& p : batch) {
-      if (p.on_durable) p.on_durable(ok);
-    }
-    for (Pending& p : stranded) {
-      if (p.on_durable) p.on_durable(false);
-    }
+    fire_ready(ok);
+    batch_.clear();
 
     lock.lock();
     committing_ = false;
     state_cv_.notify_all();
-    if (stopping_ && pending_.empty()) return;
   }
+  // Nothing is left to write, so a waiter still queued can never complete.
+  collect_waiters(false);
+  lock.unlock();
+  fire_ready(false);
 }
 
 }  // namespace uucs

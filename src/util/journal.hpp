@@ -127,9 +127,15 @@ struct JournalFault {
 /// the writing), so journals written through this replay with plain
 /// Journal::open.
 ///
-/// Threading: append_async/append_sync/flush may be called from any thread.
-/// The wrapped Journal must not be touched directly while a
-/// GroupCommitJournal is attached to it, except inside with_exclusive().
+/// Log sequence numbers: every queued entry gets the next LSN (1, 2, ...),
+/// and after each fsync the commit thread publishes the durable LSN — the
+/// LSN of the last entry written. A completion waits on an LSN, not on a
+/// batch, so a wait whose LSN is already durable completes at once on the
+/// caller's thread. LSNs live only in memory; nothing on disk changes.
+///
+/// Threading: every public member may be called from any thread. The
+/// wrapped Journal must not be touched directly while a GroupCommitJournal
+/// is attached to it, except inside with_exclusive().
 class GroupCommitJournal {
  public:
   /// Disk-safety state machine (DESIGN.md §15). kOk is normal service.
@@ -174,9 +180,8 @@ class GroupCommitJournal {
   struct Stats {
     std::uint64_t entries = 0;        ///< payloads made durable
     std::uint64_t batches = 0;        ///< write+fsync cycles (== fsyncs here)
-    std::uint64_t async_appends = 0;  ///< append_async calls
-    std::uint64_t sync_appends = 0;   ///< append_sync calls
     std::size_t largest_batch = 0;    ///< most entries in one fsync
+    std::uint64_t immediate_acks = 0;   ///< waits completed at once: LSN already durable
     std::uint64_t failed_batches = 0;   ///< batch attempts that failed
     std::uint64_t rejected_appends = 0; ///< appends refused while not kOk
     std::uint64_t degraded_spells = 0;  ///< kOk -> kDegraded transitions
@@ -198,18 +203,47 @@ class GroupCommitJournal {
   GroupCommitJournal(const GroupCommitJournal&) = delete;
   GroupCommitJournal& operator=(const GroupCommitJournal&) = delete;
 
-  /// Queues `entries` for the next batch; never blocks on disk. `on_durable`
-  /// runs on the commit thread after the batch's fsync completes — `true`
-  /// when the entries are on disk, `false` when the write failed (the
-  /// caller must NOT acknowledge in that case). Empty `entries` act as an
-  /// ordering barrier: the callback fires only after everything queued
-  /// before it is durable.
+  /// Queues `entries` for the next batch and returns the LSN of the last
+  /// one. Empty `entries` queue nothing and return the highest LSN assigned
+  /// so far, so a wait on it covers everything queued before the call.
+  /// Never blocks on disk and does not wake the commit thread: a caller
+  /// that queues under its own lock rings notify() after releasing it.
+  /// While degraded the entries join the parked backlog (recovery replays
+  /// them); once broken they are dropped. Either way a wait on the returned
+  /// LSN fails until recovery has written it.
+  std::uint64_t append(std::vector<std::string> entries);
+
+  /// Wakes the commit thread for entries queued by append(), if they need
+  /// it: when it was idle, or when they filled the batch it is lingering
+  /// on. Otherwise the linger timeout or the batch in flight picks them up,
+  /// and the commit thread is not woken once per append for nothing.
+  void notify() {
+    if (wake_due_.exchange(false, std::memory_order_relaxed)) work_cv_.notify_one();
+  }
+
+  /// Runs `on_durable` once every entry up to `lsn` is durable: at once,
+  /// on the calling thread, when durable_lsn() already covers `lsn` (LSN 0,
+  /// "observed nothing", always is); otherwise on the commit thread after
+  /// the fsync that covers it. `on_durable(false)` means `lsn` could not be
+  /// made durable — its batch failed, or the journal is degraded, broken or
+  /// stopping — and the caller must NOT acknowledge.
+  void wait(std::uint64_t lsn, std::function<void(bool durable)> on_durable);
+
+  /// wait(append(entries)) plus notify(): `on_durable` fires once `entries`
+  /// and everything queued before them are durable. Empty `entries` wait
+  /// for everything queued before the call, at once if that is already on
+  /// disk.
   void append_async(std::vector<std::string> entries,
                     std::function<void(bool durable)> on_durable);
 
   /// Blocks until `entries` are durable; throws SystemError on failure.
   /// Coalesces with concurrent appends exactly like append_async.
   void append_sync(std::vector<std::string> entries);
+
+  /// LSN of the last entry known to be on disk; lock-free.
+  std::uint64_t durable_lsn() const {
+    return durable_lsn_.load(std::memory_order_acquire);
+  }
 
   /// Blocks until everything queued before the call is durable.
   void flush();
@@ -229,12 +263,17 @@ class GroupCommitJournal {
   bool widened() const { return widened_flag_.load(std::memory_order_acquire); }
 
  private:
-  struct Pending {
-    std::vector<std::string> entries;
+  struct Waiter {
+    std::uint64_t lsn;
     std::function<void(bool)> on_durable;
   };
 
   void commit_loop();
+  /// Moves every waiter that `ok` settles — all of them when false, those
+  /// whose LSN is durable when true — into ready_, in arrival order. Lock
+  /// held; the caller fires ready_ after releasing it.
+  void collect_waiters(bool ok);
+  void fire_ready(bool ok);  ///< commit thread, lock released
   /// One disk attempt (fault hook, headroom check, append, tail repair on
   /// failure). Runs without the lock. Returns false on failure; `broken`
   /// is set when the file could not be repaired afterwards.
@@ -254,12 +293,25 @@ class GroupCommitJournal {
   mutable std::mutex mu_;
   std::condition_variable work_cv_;   ///< commit thread waits for appends
   std::condition_variable state_cv_;  ///< flush()/with_exclusive() wait here
-  std::vector<Pending> pending_;
-  std::size_t pending_entries_ = 0;
+  /// Queued entries: while kOk, the last pending_.size() LSNs assigned.
+  std::vector<std::string> pending_;
+  std::vector<std::string> batch_;  ///< commit thread: the batch being written
+  std::vector<Waiter> waiters_;  ///< completions whose LSN is not yet durable
+  std::vector<Waiter> ready_;    ///< commit thread: settled, about to fire
+  std::uint64_t last_lsn_ = 0;   ///< highest LSN assigned
+  std::atomic<std::uint64_t> durable_lsn_{0};  ///< written under mu_ only
+  std::atomic<std::uint64_t> immediate_acks_{0};
   bool committing_ = false;  ///< a batch is being written right now
+  bool idle_waiting_ = false;  ///< commit thread: waiting for a first append
+  std::size_t linger_cap_ = 0;  ///< commit thread: batch cap while lingering, else 0
+  /// Set by append() when the commit thread needs waking; the first
+  /// notify() after it rings the condition variable.
+  std::atomic<bool> wake_due_{false};
   bool stopping_ = false;
   std::atomic<Health> health_{Health::kOk};  ///< written under mu_ only
-  std::vector<std::string> parked_;  ///< failed-batch payloads, replay first
+  /// While degraded: every entry after durable_lsn_, in LSN order — the
+  /// failed batch, what queued behind it, and appends since. Replays first.
+  std::vector<std::string> parked_;
   double fsync_ewma_s_ = 0.0;        ///< smoothed batch write+fsync seconds
   bool slow_mode_ = false;           ///< widened group window active
   std::atomic<bool> widened_flag_{false};

@@ -146,7 +146,9 @@ TEST(ChaosUpgrade, CleanTakeoverUnderLoadAcross20Seeds) {
     std::vector<std::uint64_t> final_gen(kClients, 0);
     std::atomic<int> registered{0};
     std::atomic<bool> failed{false};
-    std::vector<std::thread> threads;
+    // jthreads: an assertion that returns early joins them on the way out
+    // and reports its seed, instead of std::terminate on a joinable thread.
+    std::vector<std::jthread> threads;
     threads.reserve(kClients);
     for (int c = 0; c < kClients; ++c) {
       threads.emplace_back([&, c] {

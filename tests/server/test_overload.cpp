@@ -425,6 +425,15 @@ TEST(OverloadTcp, StatsRequestRoundTripsEvenWhenDegraded) {
   config.failpoints = &fp;
   IngestServer ingest(server, config);
 
+  // One journaled registration (LSN 1) and one result-free sync, whose ack
+  // observed nothing and so completed without waiting for a batch.
+  auto api_channel = connect_to(ingest.port());
+  RemoteServerApi api(*api_channel);
+  SyncRequest browse;
+  browse.guid = api.register_client(HostSpec::paper_study_machine(), "n-stats");
+  browse.sync_seq = 1;
+  api.hot_sync(browse);
+
   KvRecord req("stats-request");
   req.set_int("version", 3);
 
@@ -439,6 +448,8 @@ TEST(OverloadTcp, StatsRequestRoundTripsEvenWhenDegraded) {
   EXPECT_GE(records.front().get_int_or("loop.open_connections", -1), 1);
   EXPECT_TRUE(records.front().has("shed.queue"));
   EXPECT_TRUE(records.front().has("pressure.available_frac"));
+  EXPECT_EQ(records.front().get_int_or("journal.durable_lsn", -1), 1);
+  EXPECT_GE(records.front().get_int_or("journal.immediate_acks", -1), 1);
 
   ingest.stop();
 }

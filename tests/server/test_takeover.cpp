@@ -7,7 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
+
 #include <atomic>
+#include <cstring>
 #include <chrono>
 #include <memory>
 #include <string>
@@ -19,6 +25,7 @@
 #include "testcase/suite.hpp"
 #include "util/error.hpp"
 #include "util/fs.hpp"
+#include "util/kvtext.hpp"
 
 namespace uucs {
 namespace {
@@ -162,6 +169,64 @@ TEST(Takeover, FullHandoffPreservesStateSocketAndDedup) {
   EXPECT_EQ(next.server->results().size(), 3u);
   next.ingest->stop();
   old.ingest->stop();  // the old process exits without another snapshot
+}
+
+// A loaded successor can fall behind: by the time it reads the
+// takeover-accept frame, the predecessor may already have drained, passed
+// the listener and sent its state. Here the test plays the predecessor and
+// queues all three before the successor reads a byte; reading the accept
+// frame must not swallow the byte that carries the listener fd.
+TEST(Takeover, SuccessorKeepsTheListenerWhenThePredecessorRunsAhead) {
+  TempDir dir;
+  const std::string path = dir.file("ctl.sock");
+  UniqueFd listen_fd(::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0));
+  ASSERT_GE(listen_fd.get(), 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+  ASSERT_EQ(::bind(listen_fd.get(), reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  ASSERT_EQ(::listen(listen_fd.get(), 1), 0);
+
+  TakeoverClient successor(path);
+  UniqueFd conn(::accept(listen_fd.get(), nullptr, nullptr));
+  ASSERT_GE(conn.get(), 0);
+  auto send_all = [&](const std::string& bytes) {
+    ASSERT_EQ(::write(conn.get(), bytes.data(), bytes.size()),
+              static_cast<ssize_t>(bytes.size()));
+  };
+
+  KvRecord accept_rec("takeover-accept");
+  accept_rec.set_int("version", 1);
+  send_all(TcpChannel::frame(kv_serialize({accept_rec})));
+
+  UniqueFd passed(::open("/dev/null", O_RDONLY | O_CLOEXEC));  // stands in for the listener
+  char byte = 'L';
+  iovec iov{&byte, 1};
+  alignas(cmsghdr) char ctrl[CMSG_SPACE(sizeof(int))] = {};
+  msghdr msg{};
+  msg.msg_iov = &iov;
+  msg.msg_iovlen = 1;
+  msg.msg_control = ctrl;
+  msg.msg_controllen = sizeof(ctrl);
+  cmsghdr* cm = CMSG_FIRSTHDR(&msg);
+  cm->cmsg_level = SOL_SOCKET;
+  cm->cmsg_type = SCM_RIGHTS;
+  cm->cmsg_len = CMSG_LEN(sizeof(int));
+  const int passed_fd = passed.get();
+  std::memcpy(CMSG_DATA(cm), &passed_fd, sizeof(int));
+  ASSERT_EQ(::sendmsg(conn.get(), &msg, 0), 1);
+
+  KvRecord state("takeover-state");
+  state.set_int("version", 1);
+  state.set("state_dir", dir.path());
+  state.set_int("generation", 2);
+  state.set_int("port", 4321);
+  send_all(TcpChannel::frame(kv_serialize({state})));
+
+  const TakeoverClient::Inherited inh = successor.begin();
+  EXPECT_GE(inh.listener.get(), 0);
+  EXPECT_EQ(inh.generation, 2u);
+  EXPECT_EQ(inh.port, 4321);
 }
 
 TEST(Takeover, SuccessorDeathBeforeReadyRollsBack) {

@@ -1,6 +1,7 @@
 // Group-commit journal tests: coalescing (many appends, few fsyncs), the
-// durable-before-ack contract, barrier ordering for empty appends, the
-// exclusive window for compaction — and a fork+SIGKILL battery proving that
+// durable-before-ack contract, LSN numbering and inline completion of
+// durable waits, barrier ordering for empty appends, the exclusive window
+// for compaction — and a fork+SIGKILL battery proving that
 // a crash at any point between batch buffering and fsync never loses an
 // acknowledged entry.
 
@@ -113,6 +114,63 @@ TEST(GroupCommit, EmptyAppendIsAnOrderingBarrier) {
   EXPECT_TRUE(barrier_fired.load());
   EXPECT_TRUE(order_ok.load());
   EXPECT_EQ(journal.entries().size(), 1u);  // the barrier wrote nothing
+}
+
+TEST(GroupCommit, LsnsNumberEntriesAndDurableWaitsCompleteInline) {
+  TempDir dir;
+  Journal journal = Journal::open(dir.file("j.log"));
+  GroupCommitJournal committer(journal);
+  EXPECT_EQ(committer.append({"a", "b"}), 2u);
+  EXPECT_EQ(committer.append({}), 2u);  // "everything queued before me"
+  EXPECT_EQ(committer.append({"c"}), 3u);
+  committer.notify();
+  committer.flush();
+  EXPECT_EQ(committer.durable_lsn(), 3u);
+
+  // A durable LSN — or LSN 0, which observed nothing — completes on the
+  // calling thread before wait() returns.
+  bool durable_now = false;
+  bool nothing_now = false;
+  committer.wait(2, [&](bool durable) { durable_now = durable; });
+  committer.wait(0, [&](bool durable) { nothing_now = durable; });
+  EXPECT_TRUE(durable_now);
+  EXPECT_TRUE(nothing_now);
+  EXPECT_EQ(committer.stats().immediate_acks, 2u);
+
+  // A later LSN waits for the fsync that covers it.
+  std::atomic<bool> later{false};
+  const std::uint64_t lsn = committer.append({"d"});
+  EXPECT_EQ(lsn, 4u);
+  committer.wait(lsn, [&](bool durable) { later = durable; });
+  committer.notify();
+  committer.flush();
+  EXPECT_TRUE(later.load());
+  EXPECT_EQ(committer.durable_lsn(), 4u);
+  EXPECT_EQ(journal.entries().size(), 4u);
+}
+
+TEST(GroupCommit, BatchFilledDuringTheLingerIsWrittenAtOnce) {
+  // notify() rings the lingering commit thread only once the batch is full;
+  // a lost ring would leave this batch waiting out the whole window.
+  TempDir dir;
+  Journal journal = Journal::open(dir.file("j.log"));
+  GroupCommitJournal::Config cfg;
+  cfg.max_batch_entries = 4;
+  cfg.max_wait_us = 10'000'000;
+  GroupCommitJournal committer(journal, cfg);
+  committer.append({"a"});
+  committer.notify();
+  std::this_thread::sleep_for(50ms);  // let the commit thread start lingering
+  const std::uint64_t lsn = committer.append({"b", "c", "d"});
+  committer.notify();
+  std::atomic<bool> durable{false};
+  const auto start = std::chrono::steady_clock::now();
+  committer.wait(lsn, [&](bool ok) { durable = ok; });
+  while (!durable.load() && std::chrono::steady_clock::now() - start < 5s) {
+    std::this_thread::sleep_for(1ms);
+  }
+  EXPECT_TRUE(durable.load());
+  EXPECT_EQ(committer.durable_lsn(), 4u);
 }
 
 TEST(GroupCommit, WithExclusiveParksTheCommitterForCompaction) {

@@ -617,7 +617,7 @@ void BM_JournalRecover(benchmark::State& state) {
     for (int i = 0; i < state.range(0); ++i) {
       batch.push_back("entry " + std::to_string(i) + std::string(100, 'y'));
     }
-    journal.append_batch(batch);
+    journal.append_batch(std::move(batch));
   }
   for (auto _ : state) {
     uucs::Journal journal = uucs::Journal::open(path);
@@ -716,6 +716,69 @@ void BM_HotSyncDispatch(benchmark::State& state) {
   state.SetLabel(state.range(0) ? "journaled" : "in-memory");
 }
 BENCHMARK(BM_HotSyncDispatch)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
+void BM_UploadDispatch(benchmark::State& state) {
+  // One ingest-upload sync as an IngestServer worker handles it: decode,
+  // dedup, store, journal-entry build and response encode of 6 real
+  // controlled-study records, through dispatch_request_deferred with a
+  // committer attached (its thread writes and fsyncs the entries beside the
+  // loop). Requests are encoded 1024 at a time with the timer paused. A
+  // fixed iteration count bounds the records the server keeps.
+  uucs::study::ControlledStudyConfig cfg;
+  cfg.participants = 4;
+  cfg.jobs = 1;
+  const std::vector<uucs::RunRecord> pool =
+      uucs::study::run_controlled_study(cfg).results.records();
+  uucs::TempDir dir;
+  uucs::UucsServer server(1, 16);
+  server.add_testcases(uucs::study::controlled_study_testcases(uucs::sim::Task::kWord));
+  server.attach_journal(dir.file("upload.journal"));
+  const uucs::Guid guid =
+      server.register_client(uucs::HostSpec::paper_study_machine(), 0.0);
+  uucs::GroupCommitJournal committer(*server.mutable_journal());
+  server.attach_committer(&committer);
+
+  uucs::SyncRequest request;
+  request.protocol_version = uucs::kProtocolVersionMax;
+  request.guid = guid;
+  request.known_testcase_ids = server.testcases().ids();
+  request.results.resize(6);
+  const std::string guid_text = guid.to_string();
+  uucs::Rng picks(7);
+  std::uint64_t serial = 0;
+  std::vector<std::string> batch;
+  std::size_t next = 0;
+  const auto refill = [&] {
+    batch.clear();
+    for (int i = 0; i < 1024; ++i) {
+      request.sync_seq = ++serial;
+      for (std::size_t k = 0; k < request.results.size(); ++k) {
+        uucs::RunRecord& rec = request.results[k];
+        rec = pool[static_cast<std::size_t>(
+            picks.uniform_int(0, static_cast<std::int64_t>(pool.size()) - 1))];
+        rec.run_id = guid_text + "/" + std::to_string(serial * 6 + k);
+        rec.client_guid = guid_text;
+      }
+      batch.push_back(uucs::encode_sync_request(request));
+    }
+    next = 0;
+  };
+  refill();
+  for (auto _ : state) {
+    if (next == batch.size()) {
+      state.PauseTiming();
+      refill();
+      state.ResumeTiming();
+    }
+    const uucs::DispatchResult result =
+        uucs::dispatch_request_deferred(server, batch[next++]);
+    benchmark::DoNotOptimize(result.lsn);
+  }
+  committer.flush();
+  server.attach_committer(nullptr);
+  state.SetItemsProcessed(state.iterations() * 6);
+}
+BENCHMARK(BM_UploadDispatch)->Iterations(4096);
 
 }  // namespace
 

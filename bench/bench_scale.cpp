@@ -187,6 +187,7 @@ int main(int argc, char** argv) {
     json += "  \"description\": \"bench_scale: streaming controlled study "
             "(seed 2004); wall/cpu from EngineStats, RSS = peak process "
             "RSS after the engine drained\",\n";
+    json += uucs::strprintf("  \"cores\": %d,\n", uucs::bench::affinity_cores());
     json += uucs::strprintf("  \"jobs\": %zu,\n", jobs);
     json += "  \"sizes\": [\n";
     for (std::size_t i = 0; i < results.size(); ++i) {

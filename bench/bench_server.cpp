@@ -29,7 +29,6 @@
 /// correctness floors (zero lost, zero duplicated, a minimum syncs/s), and
 /// exits nonzero on any violation — the CI guard for the ingest plane.
 
-#include <sched.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/types.h>
@@ -51,6 +50,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common.hpp"
 #include "monitor/sysinfo.hpp"
 #include "server/event_loop.hpp"
 #include "server/ingest.hpp"
@@ -518,14 +518,6 @@ Options parse_options(int argc, char** argv) {
   return opt;
 }
 
-/// CPUs this process may run on — what the server and the swarm share.
-int affinity_cores() {
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  if (::sched_getaffinity(0, sizeof(set), &set) != 0) return 0;
-  return CPU_COUNT(&set);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -730,7 +722,7 @@ int main(int argc, char** argv) {
               100.0 * static_cast<double>(commit.immediate_acks) /
                   static_cast<double>(std::max<std::uint64_t>(
                       1, total.syncs_acked + total.registers)));
-  std::printf("cores              %d\n", affinity_cores());
+  std::printf("cores              %d\n", uucs::bench::affinity_cores());
 
   if (!opt.json_path.empty()) {
     std::string json = "{\n";
@@ -740,7 +732,7 @@ int main(int argc, char** argv) {
         "journal). Children forked before server threads drive nonblocking "
         "client state machines; every connection registers, hot-syncs, then "
         "stays open until the stats are sampled.\",\n";
-    json += uucs::strprintf("  \"cores\": %d,\n", affinity_cores());
+    json += uucs::strprintf("  \"cores\": %d,\n", uucs::bench::affinity_cores());
     json += uucs::strprintf(
         "  \"config\": { \"connections\": %zu, \"procs\": %zu, \"syncs\": %d, "
         "\"records\": %d, \"workers\": %zu, \"shards\": %zu, "

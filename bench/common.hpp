@@ -4,6 +4,8 @@
 /// standalone binary that reruns the controlled study (seeded, virtual time)
 /// and prints the paper's published numbers next to the reproduced ones.
 
+#include <sched.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -13,6 +15,15 @@
 #include "util/strings.hpp"
 
 namespace uucs::bench {
+
+/// CPUs this process may run on (sched_getaffinity), 0 when unknown: the
+/// cores a recorded number really had.
+inline int affinity_cores() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (::sched_getaffinity(0, sizeof(set), &set) != 0) return 0;
+  return CPU_COUNT(&set);
+}
 
 /// Session-engine worker count from a `--jobs N|auto` flag; "auto" or 0
 /// (the default) means one worker per hardware thread. Any value is

@@ -92,7 +92,7 @@ std::size_t UucsClient::hot_sync(ServerApi& server) {
       std::vector<std::string> acks;
       acks.reserve(response.stored_run_ids.size());
       for (const auto& id : response.stored_run_ids) acks.push_back("ack " + id);
-      journal_->append_batch(acks);
+      journal_->append_batch(std::move(acks));
       compact_journal_if_needed();
     }
   }
@@ -191,7 +191,7 @@ std::size_t UucsClient::attach_journal(const std::string& path) {
       log_warn("client", "run " + run_id + " was open at crash; recorded as aborted");
     }
     open_runs_.clear();
-    journal_->append_batch(journaled);
+    journal_->append_batch(std::move(journaled));
   }
   if (journal_->recovery().dropped_bytes > 0) {
     log_warn("client",

@@ -87,10 +87,13 @@ SupervisedOutcome RunSupervisor::supervise(const std::vector<Worker>& workers,
     // The exception barrier: whatever a worker throws — a SystemError from
     // a failed pwrite, an mmap failure, a library bug — becomes a typed
     // report. An uncaught exception here would be std::terminate.
-    threads.emplace_back([slot, ex = w.exerciser, f = w.function] {
+    //
+    // The worker plays its own copy of the function: an abandoned worker
+    // outlives supervise(), and with it the caller's testcase.
+    threads.emplace_back([slot, ex = w.exerciser, f = *w.function] {
       ResourceReport report;
       try {
-        report.played_s = ex->run(*f);
+        report.played_s = ex->run(f);
         const auto deg = ex->degradation();
         report.degraded_events = deg.events;
         if (deg.events > 0) {

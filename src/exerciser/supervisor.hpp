@@ -77,11 +77,13 @@ class RunSupervisor {
   struct Worker {
     Resource resource;
     std::shared_ptr<ResourceExerciser> exerciser;
+    /// Read only inside supervise(): each worker thread copies it.
     const ExerciseFunction* function = nullptr;
   };
 
   /// One parked worker that missed the stop bound. Holds the exerciser
-  /// alive so the still-running thread never dangles.
+  /// alive, and the thread owns the function it plays, so the still-running
+  /// thread never dangles.
   struct Abandoned {
     Resource resource;
     std::shared_ptr<ResourceExerciser> exerciser;

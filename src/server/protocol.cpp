@@ -236,6 +236,10 @@ SyncRequest decode_sync_request(const KvDoc& doc) {
   // Tokenize the known-ids list straight off the view (same boundaries as
   // split(raw, ','): empty fields skipped just like before).
   const std::string_view known = head.has("known") ? head.get("known") : "";
+  if (!known.empty()) {
+    request.known_testcase_ids.reserve(
+        static_cast<std::size_t>(std::count(known.begin(), known.end(), ',')) + 1);
+  }
   std::size_t start = 0;
   for (std::size_t i = 0; i <= known.size(); ++i) {
     if (i == known.size() || known[i] == ',') {
@@ -245,6 +249,7 @@ SyncRequest decode_sync_request(const KvDoc& doc) {
       start = i + 1;
     }
   }
+  request.results.reserve(doc.size() - 1);
   for (std::size_t i = 1; i < doc.size(); ++i) {
     request.results.push_back(RunRecord::from_kv(doc.at(i)));
   }
@@ -319,8 +324,14 @@ std::string dispatch_impl(UucsServer& server, std::string_view request,
       return encode_register_response(guid, negotiated);
     }
     if (op == "sync-request") {
-      const SyncRequest req = decode_sync_request(doc);
-      return encode_sync_response(server.hot_sync(req, journal_out, lsn_out));
+      // The decoded request exists only to be handed over: its records
+      // move into the shard store. The response is encoded into a warm
+      // per-thread buffer and copied out at its exact size.
+      thread_local std::string reply;
+      reply.clear();
+      encode_sync_response_into(
+          server.hot_sync(decode_sync_request(doc), journal_out, lsn_out), reply);
+      return reply;
     }
     return encode_error("unknown operation '" + std::string(op) + "'");
   } catch (const std::exception& e) {

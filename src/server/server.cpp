@@ -1,6 +1,8 @@
 #include "server/server.hpp"
 
 #include <algorithm>
+#include <iterator>
+#include <type_traits>
 #include <utility>
 
 #include "util/error.hpp"
@@ -149,9 +151,9 @@ void UucsServer::index_results() {
   }
 }
 
-void UucsServer::append_blocking(const std::vector<std::string>& entries) {
+void UucsServer::append_blocking(std::vector<std::string>&& entries) {
   std::lock_guard lock(journal_mu_);
-  journal_->append_batch(entries);
+  journal_->append_batch(std::move(entries));
 }
 
 void UucsServer::attach_committer(GroupCommitJournal* committer) {
@@ -204,7 +206,7 @@ Guid UucsServer::register_client(const HostSpec& host, double now,
       // and must fsync these before the response leaves the server.
       for (auto& e : entries) journal_out->push_back(std::move(e));
     } else {
-      append_blocking(entries);
+      append_blocking(std::move(entries));
     }
   }
   if (!nonce.empty()) reg_nonces_[nonce] = guid;
@@ -254,6 +256,19 @@ bool UucsServer::has_result(const std::string& run_id) const {
 SyncResponse UucsServer::hot_sync(const SyncRequest& request,
                                   std::vector<std::string>* journal_out,
                                   std::uint64_t* lsn_out) {
+  return apply_sync(request, journal_out, lsn_out);
+}
+
+SyncResponse UucsServer::hot_sync(SyncRequest&& request,
+                                  std::vector<std::string>* journal_out,
+                                  std::uint64_t* lsn_out) {
+  return apply_sync(request, journal_out, lsn_out);
+}
+
+template <class Request>
+SyncResponse UucsServer::apply_sync(Request& request,
+                                    std::vector<std::string>* journal_out,
+                                    std::uint64_t* lsn_out) {
   GroupCommitJournal* const committer =
       journal_ && journal_out != nullptr ? committer_ : nullptr;
   Shard& shard = shard_of(request.guid);
@@ -261,7 +276,9 @@ SyncResponse UucsServer::hot_sync(const SyncRequest& request,
   response.protocol_version =
       request.protocol_version == 0 ? 1 : request.protocol_version;
   response.server_generation = generation();
+  response.stored_run_ids.reserve(request.results.size());
   std::vector<std::string> journal_entries;
+  if (journal_) journal_entries.reserve(request.results.size());
   bool queued = false;
   {
     std::lock_guard shard_lock(shard.mu);
@@ -276,7 +293,7 @@ SyncResponse UucsServer::hot_sync(const SyncRequest& request,
     // (Dedup is shard-local, which is complete because every upload of a
     // given run_id arrives under the same client GUID and therefore lands in
     // the same shard.)
-    for (const auto& r : request.results) {
+    for (auto& r : request.results) {
       if (!r.run_id.empty()) {
         if (shard.seen_run_ids.count(r.run_id) != 0) {
           ++response.duplicate_results;
@@ -289,11 +306,19 @@ SyncResponse UucsServer::hot_sync(const SyncRequest& request,
       if (journal_) {
         // Journal bytes are pinned: serialize_into is byte-identical to
         // kv_serialize({r.to_record()}) without the intermediate KvRecord.
-        std::string entry;
+        // It writes into a warm per-thread buffer, and the entry is copied
+        // out at its exact size: one allocation, and no slack capacity in
+        // the journal that keeps the string.
+        thread_local std::string entry;
+        entry.clear();
         r.serialize_into(entry);
-        journal_entries.push_back(std::move(entry));
+        journal_entries.emplace_back(entry);
       }
-      shard.results.add(r);
+      if constexpr (std::is_const_v<Request>) {
+        shard.results.add(r);
+      } else {
+        shard.results.add(std::move(r));
+      }
       ++response.accepted_results;
     }
     if (response.accepted_results > 0) {
@@ -338,10 +363,14 @@ SyncResponse UucsServer::hot_sync(const SyncRequest& request,
   // hands the entries to the caller, which fsyncs them before releasing
   // the response.
   if (journal_ && !journal_entries.empty()) {
-    if (journal_out != nullptr) {
-      for (auto& e : journal_entries) journal_out->push_back(std::move(e));
+    if (journal_out == nullptr) {
+      append_blocking(std::move(journal_entries));
+    } else if (journal_out->empty()) {
+      *journal_out = std::move(journal_entries);
     } else {
-      append_blocking(journal_entries);
+      journal_out->insert(journal_out->end(),
+                          std::make_move_iterator(journal_entries.begin()),
+                          std::make_move_iterator(journal_entries.end()));
     }
   }
   return response;

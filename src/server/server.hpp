@@ -148,7 +148,16 @@ class UucsServer {
   /// high-water LSN when the request carried results (it covers both the
   /// new entries and the original behind a duplicate) and 0 when it carried
   /// none: a result-free sync observes no journaled state.
+  ///
+  /// This overload copies each accepted record into the store and reads
+  /// the request in place (the in-process callers keep their request).
   SyncResponse hot_sync(const SyncRequest& request,
+                        std::vector<std::string>* journal_out = nullptr,
+                        std::uint64_t* lsn_out = nullptr);
+  /// Same, but moves each accepted record into the store: the wire
+  /// dispatch decodes a request only to hand it over. `request.results`
+  /// is left holding moved-from records.
+  SyncResponse hot_sync(SyncRequest&& request,
                         std::vector<std::string>* journal_out = nullptr,
                         std::uint64_t* lsn_out = nullptr);
 
@@ -225,7 +234,12 @@ class UucsServer {
   void restore_registration(const KvRecord& rec);
   bool restore_result(RunRecord r, bool dedup);
   void index_results();
-  void append_blocking(const std::vector<std::string>& entries);
+  void append_blocking(std::vector<std::string>&& entries);
+  /// The one hot_sync body. `Request` is `const SyncRequest` (accepted
+  /// records are copied into the store) or `SyncRequest` (moved).
+  template <class Request>
+  SyncResponse apply_sync(Request& request, std::vector<std::string>* journal_out,
+                          std::uint64_t* lsn_out);
 
   TestcaseStore testcases_;
   mutable std::shared_mutex testcases_mu_;

@@ -1,7 +1,6 @@
 #include "testcase/run_record.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <memory>
 #include <string_view>
 #include <unordered_map>
@@ -110,14 +109,6 @@ RunIndex RunIndex::build(const std::vector<RunRecord>& records) {
 
 namespace {
 
-// %.17g — the exact format KvRecord::set_double / set_doubles use, so
-// serialize_into stays byte-identical to the to_record() path.
-void append_double(std::string& out, double v) {
-  char buf[40];
-  const int n = std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out.append(buf, static_cast<std::size_t>(n));
-}
-
 void append_line(std::string& out, std::string_view key, std::string_view value) {
   out.append(key);
   out.append(" = ");
@@ -135,6 +126,8 @@ void RunRecord::serialize_into(std::string& out) const {
   append_line(out, "testcase_id", testcase_id);
   append_line(out, "task", task);
   append_line(out, "discomforted", discomforted ? "true" : "false");
+  // append_double is what KvRecord::set_double / set_doubles format with,
+  // so these bytes match the to_record() path.
   out.append("offset_s = ");
   append_double(out, offset_s);
   out.push_back('\n');

@@ -10,6 +10,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
+#include <utility>
 
 #include "util/crc32.hpp"
 #include "util/error.hpp"
@@ -159,7 +161,7 @@ void Journal::close() {
 
 void Journal::append(const std::string& payload) { append_batch({payload}); }
 
-void Journal::append_batch(const std::vector<std::string>& payloads) {
+void Journal::append_batch(std::vector<std::string>&& payloads) {
   if (payloads.empty()) return;
   UUCS_CHECK_MSG(fd_ >= 0, "journal " + path_ + " is closed");
   // Frame directly into the persistent batch buffer: its capacity is warm
@@ -169,7 +171,9 @@ void Journal::append_batch(const std::vector<std::string>& payloads) {
   for (const auto& p : payloads) frame_into(batch_buf_, p);
   write_fully(fd_, batch_buf_.data(), batch_buf_.size(), path_);
   fsync_or_throw(fd_, path_, &fsync_count_);
-  for (const auto& p : payloads) entries_.push_back(p);
+  // Durable: keep the caller's strings rather than copies of them.
+  entries_.insert(entries_.end(), std::make_move_iterator(payloads.begin()),
+                  std::make_move_iterator(payloads.end()));
   size_bytes_ += batch_buf_.size();
 }
 
@@ -394,7 +398,7 @@ void GroupCommitJournal::note_batch_seconds(double seconds) {
   }
 }
 
-bool GroupCommitJournal::write_batch(const std::vector<std::string>& payloads,
+bool GroupCommitJournal::write_batch(std::vector<std::string>& payloads,
                                      bool* broken, std::string* why,
                                      double* seconds) {
   // Injected fault first: a simulated ENOSPC/EIO fails the attempt without
@@ -424,7 +428,9 @@ bool GroupCommitJournal::write_batch(const std::vector<std::string>& payloads,
   }
   if (payloads.empty()) return true;  // recovery probe with nothing parked
   try {
-    journal_.append_batch(payloads);  // one buffered write + one fsync
+    // One buffered write + one fsync. On success the journal keeps the
+    // payload strings; on failure it leaves them for the caller to park.
+    journal_.append_batch(std::move(payloads));
   } catch (const std::exception& e) {
     *why = e.what();
     // A failed write may have left torn bytes past the last good frame;

@@ -61,8 +61,12 @@ class Journal {
   /// Appends one payload (arbitrary bytes, including newlines) and fsyncs.
   void append(const std::string& payload);
 
-  /// Appends several payloads with a single write + fsync.
-  void append_batch(const std::vector<std::string>& payloads);
+  /// Appends several payloads with a single write + fsync, then takes them
+  /// over: once the fsync succeeds each payload is moved into entries()
+  /// (the vector keeps its size; its strings are left moved-from). If the
+  /// write or the fsync throws, `payloads` is left intact, so a caller can
+  /// keep a failed batch for a retry.
+  void append_batch(std::vector<std::string>&& payloads);
 
   /// Free bytes on the filesystem holding the journal (statvfs), or
   /// UINT64_MAX when it cannot be determined — an unreadable statvfs must
@@ -275,9 +279,10 @@ class GroupCommitJournal {
   void collect_waiters(bool ok);
   void fire_ready(bool ok);  ///< commit thread, lock released
   /// One disk attempt (fault hook, headroom check, append, tail repair on
-  /// failure). Runs without the lock. Returns false on failure; `broken`
-  /// is set when the file could not be repaired afterwards.
-  bool write_batch(const std::vector<std::string>& payloads, bool* broken,
+  /// failure). Runs without the lock. Returns false on failure, with
+  /// `payloads` intact; `broken` is set when the file could not be repaired
+  /// afterwards. On success the journal has taken the payload strings.
+  bool write_batch(std::vector<std::string>& payloads, bool* broken,
                    std::string* why, double* seconds);
   /// Degraded-mode probe: replays the parked entries (plus a headroom
   /// check); flips back to kOk on success. Expects `lock` held; drops and

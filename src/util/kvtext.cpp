@@ -1,5 +1,6 @@
 #include "util/kvtext.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 
@@ -35,7 +36,9 @@ void KvRecord::set(const std::string& key, std::string value) {
 }
 
 void KvRecord::set_double(const std::string& key, double value) {
-  set(key, strprintf("%.17g", value));
+  std::string s;
+  append_double(s, value);
+  set(key, std::move(s));
 }
 
 void KvRecord::set_int(const std::string& key, std::int64_t value) {
@@ -50,7 +53,7 @@ void KvRecord::set_doubles(const std::string& key, const std::vector<double>& va
   std::string s;
   for (std::size_t i = 0; i < values.size(); ++i) {
     if (i) s += ',';
-    s += strprintf("%.17g", values[i]);
+    append_double(s, values[i]);
   }
   set(key, std::move(s));
 }
@@ -109,6 +112,8 @@ void parse_double_list(std::string_view raw, std::string_view key,
                        std::vector<double>& out) {
   out.clear();
   if (trim(raw).empty()) return;
+  // Sized once: a stored record keeps this vector.
+  out.reserve(static_cast<std::size_t>(std::count(raw.begin(), raw.end(), ',')) + 1);
   // Same token boundaries as split(raw, ','): empty fields kept, tokens
   // untrimmed (parse_double trims; the error message shows the raw token).
   std::size_t start = 0;

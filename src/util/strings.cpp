@@ -2,7 +2,9 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cfloat>
 #include <charconv>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -64,14 +66,35 @@ std::string to_lower(std::string_view s) {
 std::optional<double> parse_double(std::string_view sv) {
   sv = trim(sv);
   if (sv.empty()) return std::nullopt;
-  // std::from_chars for double is available in libstdc++ 11+; use strtod on a
-  // NUL-terminated copy for full strictness over the trimmed token.
+  // Fast path. std::from_chars and glibc's strtod both round correctly, so
+  // where from_chars reads the whole token to zero or to a finite value
+  // above DBL_MIN, strtod returns the same bits and flags no ERANGE. The
+  // rest takes the strtod path on a NUL-terminated copy: grammar only
+  // strtod knows (a leading '+', hex, inf, nan), out-of-range tokens, and
+  // results at or below DBL_MIN, where strtod's ERANGE depends on whether
+  // the exact value was tiny before rounding.
+  double fast = 0.0;
+  const char* const last = sv.data() + sv.size();
+  const auto [ptr, ec] = std::from_chars(sv.data(), last, fast);
+  if (ec == std::errc() && ptr == last &&
+      (fast == 0.0 || (std::isfinite(fast) && std::fabs(fast) > DBL_MIN))) {
+    return fast;
+  }
   std::string buf(sv);
   errno = 0;
   char* end = nullptr;
   const double v = std::strtod(buf.c_str(), &end);
   if (errno == ERANGE || end != buf.c_str() + buf.size()) return std::nullopt;
   return v;
+}
+
+void append_double(std::string& out, double v) {
+  // to_chars with a precision is specified as printf with that precision,
+  // so this is "%.17g" without the format parse and the locale lookup.
+  char buf[32];
+  const auto res = std::to_chars(buf, buf + sizeof(buf), v,
+                                 std::chars_format::general, 17);
+  out.append(buf, res.ptr);
 }
 
 std::optional<std::int64_t> parse_int(std::string_view sv) {

@@ -26,9 +26,17 @@ bool starts_with(std::string_view s, std::string_view prefix);
 std::string to_lower(std::string_view s);
 
 /// Strict full-string parses; nullopt on any trailing garbage or overflow.
+/// parse_double accepts exactly what strtod accepts over the trimmed token
+/// (a leading '+', hex, inf and nan included) and rejects what strtod
+/// flags ERANGE, returning strtod's bits.
 std::optional<double> parse_double(std::string_view s);
 std::optional<std::int64_t> parse_int(std::string_view s);
 std::optional<bool> parse_bool(std::string_view s);  // true/false/1/0/yes/no
+
+/// Appends `v` exactly as printf("%.17g") formats it (17 significant
+/// digits, so every double round-trips through parse_double). The
+/// kv-text writers all format doubles through this.
+void append_double(std::string& out, double v);
 
 /// printf-style formatting into a std::string.
 std::string strprintf(const char* fmt, ...) __attribute__((format(printf, 1, 2)));

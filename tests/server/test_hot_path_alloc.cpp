@@ -24,8 +24,10 @@
 
 #include "server/protocol.hpp"
 #include "server/server.hpp"
+#include "study/controlled_study.hpp"
 #include "testcase/suite.hpp"
 #include "util/crc32.hpp"
+#include "util/fs.hpp"
 #include "util/journal.hpp"
 #include "util/kvtext.hpp"
 
@@ -243,6 +245,86 @@ TEST(HotPathAlloc, DispatchSteadyStateAllocBudget) {
   // hundreds (one per key/value/record across 3 records).
   EXPECT_LE(per_sync, 40u) << "dispatch allocates " << per_sync
                            << " times per sync — hot-path regression";
+}
+
+// A 6-record upload shaped like the controlled study's records: 9 meta.*
+// keys, a 5-value last.* list, and run and client ids past 40 characters.
+SyncRequest controlled_upload(const Guid& guid, const std::vector<std::string>& known,
+                              int seq) {
+  SyncRequest req;
+  req.protocol_version = kProtocolVersionMax;
+  req.guid = guid;
+  req.sync_seq = static_cast<std::uint64_t>(seq);
+  req.known_testcase_ids = known;  // the whole catalog: nothing to hand out
+  const std::string guid_text = guid.to_string();
+  for (int r = 0; r < 6; ++r) {
+    RunRecord rec;
+    rec.run_id = guid_text + "/" + std::to_string(100000 + seq * 6 + r);
+    rec.client_guid = guid_text;
+    rec.user_id = "user-017";
+    rec.testcase_id = "disk-ramp-x2.5-t120";
+    rec.task = "word";
+    rec.discomforted = (r % 2) == 0;
+    rec.offset_s = 120.0 / (r + 3);
+    rec.last_levels["disk"] = {0.1 * r, 0.7 / 3, 1.1 / 7, 2.0 / 3, 2.5};
+    rec.metadata = {{"host.power", "0.93141592653589791"},
+                    {"noise_triggered", "false"},
+                    {"skill.ie", "power"},
+                    {"skill.pc", "typical"},
+                    {"skill.powerpoint", "typical"},
+                    {"skill.quake", "beginner"},
+                    {"skill.windows", "power"},
+                    {"skill.word", "power"},
+                    {"testcase.description", "ramp(2.5,120) disk"}};
+    req.results.push_back(std::move(rec));
+  }
+  return req;
+}
+
+// The upload bracket: warmed 6-record syncs dispatched the way the ingest
+// plane dispatches them (deferred, journal attached, entries handed back
+// for the commit thread). 147 per sync when written; before the store took
+// over the decoded records it was 340: a deep copy of every record into
+// the store, journal entries and the response grown from empty, and
+// per-sync vectors grown one push at a time.
+//
+// What still allocates, 22 per record:
+//  - the decode, which the store then keeps: 3 long id strings, the
+//    last-levels map node and its values, 9 metadata map nodes and their 4
+//    long keys and values (18);
+//  - the run_id's dedup-set node and string, its copy in the response's
+//    stored list, and one exact-size journal entry (4).
+// and the rest once per sync: the guid text, the 6 long known ids and
+// their vector, the record, stored-id and journal-entry vectors, the
+// sampler's exclusion mask and slot pool, and the exact-size response.
+TEST(HotPathAlloc, UploadDispatchAllocBudget) {
+  TempDir dir;
+  UucsServer server(1, 16);
+  server.add_testcases(study::controlled_study_testcases(sim::Task::kWord));
+  server.attach_journal(dir.file("upload.journal"));
+  const Guid guid = server.register_client(HostSpec::paper_study_machine(), 0.0);
+  const std::vector<std::string> known = server.testcases().ids();
+
+  // Warm: thread_local KvDoc arena and buffers, shard containers.
+  for (int i = 0; i < 8; ++i) {
+    dispatch_request_deferred(server, encode_sync_request(controlled_upload(guid, known, i)));
+  }
+  std::vector<std::string> requests;
+  for (int i = 8; i < 8 + kIterations; ++i) {
+    requests.push_back(encode_sync_request(controlled_upload(guid, known, i)));
+  }
+
+  std::uint64_t total = 0;
+  for (const auto& request : requests) {
+    const std::uint64_t start = g_news;
+    const DispatchResult result = dispatch_request_deferred(server, request);
+    total += allocs_since(start);
+    ASSERT_EQ(result.journal_entries.size(), 6u) << result.response;
+    ASSERT_NE(result.response.find("accepted_results = 6"), std::string::npos);
+  }
+  const std::uint64_t per_sync = total / kIterations;
+  EXPECT_LE(per_sync, 160u) << "upload dispatch allocates " << per_sync
+                            << " times per 6-record sync";
 }
 
 // Allocations per warmed, result-free sync that hands a client who knows

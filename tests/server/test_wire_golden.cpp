@@ -314,7 +314,7 @@ TEST(WireGolden, JournalCrossReplayOldAndNew) {
   const std::string new_path = dir.file("new.journal");
   {
     Journal journal = Journal::open(new_path);
-    journal.append_batch(payloads);
+    journal.append_batch(std::vector<std::string>(payloads));
   }
   EXPECT_EQ(read_file(new_path), old_bytes);
 

@@ -1,6 +1,10 @@
 #include "util/journal.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <string>
+#include <vector>
 
 #include "util/error.hpp"
 #include "util/fs.hpp"
@@ -45,6 +49,33 @@ TEST(Journal, BinaryPayloadsSurvive) {
   ASSERT_EQ(j.entries().size(), 2u);
   EXPECT_EQ(j.entries()[0], binary);
   EXPECT_EQ(j.entries()[1], "");
+}
+
+// append_batch keeps the caller's strings once they are durable, and
+// leaves them untouched when the write fails, so a failed batch can be
+// parked and replayed (GroupCommitJournal does exactly that).
+TEST(Journal, AppendBatchTakesPayloadsOnlyOnceDurable) {
+  const std::string long_entry(200, 'p');  // past the inline-string capacity
+  {
+    TempDir dir;
+    Journal j = Journal::open(dir.file("j.log"));
+    std::vector<std::string> payloads{long_entry, "short"};
+    const char* const heap = payloads[0].data();
+    j.append_batch(std::move(payloads));
+    ASSERT_EQ(j.entries().size(), 2u);
+    EXPECT_EQ(j.entries()[0], long_entry);
+    EXPECT_EQ(j.entries()[0].data(), heap);  // moved, not copied
+    EXPECT_EQ(j.entries()[1], "short");
+  }
+  // Every write(2) to /dev/full fails with ENOSPC.
+  if (::access("/dev/full", W_OK) != 0) GTEST_SKIP() << "no writable /dev/full";
+  Journal full = Journal::open("/dev/full");
+  std::vector<std::string> payloads{long_entry, "short"};
+  EXPECT_THROW(full.append_batch(std::move(payloads)), SystemError);
+  EXPECT_TRUE(full.entries().empty());
+  ASSERT_EQ(payloads.size(), 2u);
+  EXPECT_EQ(payloads[0], long_entry);
+  EXPECT_EQ(payloads[1], "short");
 }
 
 TEST(Journal, TornTailTruncated) {

@@ -9,7 +9,9 @@
 #   2. fails when the warm-cache sync-response encode exceeds 2x the
 #      checked-in reference time (tools/hot_path_reference.txt), with a
 #      floor so scheduler jitter on a sub-microsecond reference cannot
-#      produce false failures.
+#      produce false failures, and
+#   3. fails when a 6-record upload dispatch (decode, store, journal
+#      entries, reply) exceeds 2x its checked-in reference time.
 #
 # Usage: tools/hot_path_smoke.sh [BUILD_DIR]   (default: build)
 set -euo pipefail
@@ -22,7 +24,7 @@ trap 'rm -f "$json"' EXIT
 # Median of 3 repetitions: a single repetition occasionally catches a
 # scheduler hiccup on one side of the ratio and flakes the gate.
 "$build_dir/bench/bench_micro" \
-  --benchmark_filter='^BM_Crc32(Bytewise)?/4096$|^BM_SyncResponseEncodeInto/1$' \
+  --benchmark_filter='^BM_Crc32(Bytewise)?/4096$|^BM_SyncResponseEncodeInto/1$|^BM_UploadDispatch/' \
   --benchmark_repetitions=3 --benchmark_report_aggregates_only \
   --benchmark_format=json >"$json"
 
@@ -35,18 +37,28 @@ extract() { # extract <benchmark-name> <field>
     }' "$json"
 }
 
+# The reference time (ns) recorded for a benchmark name.
+reference() { # reference <benchmark-name>
+  awk -v want="$1" '!/^#/ && $1 == want { print $2; exit }' "$ref_file"
+}
+
 bytewise_bps=$(extract "BM_Crc32Bytewise/4096_median" "bytes_per_second")
 crc_bps=$(extract "BM_Crc32/4096_median" "bytes_per_second")
 encode_ns=$(extract "BM_SyncResponseEncodeInto/1_median" "real_time")
-ref_ns=$(grep -v '^#' "$ref_file" | head -1)
-if [ -z "$bytewise_bps" ] || [ -z "$crc_bps" ] || [ -z "$encode_ns" ] || [ -z "$ref_ns" ]; then
+ref_ns=$(reference "BM_SyncResponseEncodeInto/1")
+upload_ns=$(extract "BM_UploadDispatch/iterations:4096_median" "real_time")
+upload_ref_ns=$(reference "BM_UploadDispatch/iterations:4096")
+if [ -z "$bytewise_bps" ] || [ -z "$crc_bps" ] || [ -z "$encode_ns" ] || [ -z "$ref_ns" ] ||
+   [ -z "$upload_ns" ] || [ -z "$upload_ref_ns" ]; then
   echo "hot_path_smoke: failed to extract crc ('$bytewise_bps'/'$crc_bps')," \
-       "encode ('$encode_ns') or reference ('$ref_ns')" >&2
+       "encode ('$encode_ns'), upload ('$upload_ns') or references" \
+       "('$ref_ns'/'$upload_ref_ns')" >&2
   exit 2
 fi
 
 awk -v bytewise="$bytewise_bps" -v crc="$crc_bps" \
-    -v encode="$encode_ns" -v ref="$ref_ns" 'BEGIN {
+    -v encode="$encode_ns" -v ref="$ref_ns" \
+    -v upload="$upload_ns" -v upload_ref="$upload_ref_ns" 'BEGIN {
   ratio = crc / bytewise
   printf "hot_path_smoke: crc32 %.2f GB/s vs bytewise %.2f GB/s (%.1fx)\n",
          crc / 1e9, bytewise / 1e9, ratio
@@ -61,6 +73,12 @@ awk -v bytewise="$bytewise_bps" -v crc="$crc_bps" \
          encode, ref, budget
   if (encode > budget) {
     printf "hot_path_smoke: FAIL - >2x regression on warm sync-response encode\n"
+    exit 1
+  }
+  printf "hot_path_smoke: upload dispatch %.0f ns, reference %.0f ns, budget %.0f ns\n",
+         upload, upload_ref, 2.0 * upload_ref
+  if (upload > 2.0 * upload_ref) {
+    printf "hot_path_smoke: FAIL - >2x regression on 6-record upload dispatch\n"
     exit 1
   }
   printf "hot_path_smoke: ok\n"

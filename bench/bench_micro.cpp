@@ -80,7 +80,7 @@ std::string crc_test_buffer(std::size_t n) {
 }
 
 void BM_Crc32Bytewise(benchmark::State& state) {
-  // The pre-slice-by-8 reference loop: one table lookup per byte. Kept as
+  // The original reference loop: one table lookup per byte. Kept as
   // the baseline the perf-smoke guard measures BM_Crc32 against (>= 4x).
   const std::string data = crc_test_buffer(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
@@ -93,7 +93,7 @@ BENCHMARK(BM_Crc32Bytewise)->Arg(64)->Arg(4096)->Arg(65536);
 
 void BM_Crc32(benchmark::State& state) {
   // The dispatched production path every journal frame and replay pays:
-  // slice-by-8 (or the ARMv8 CRC32 instructions where the IEEE polynomial
+  // slice-by-16 (or the ARMv8 CRC32 instructions where the IEEE polynomial
   // is available in hardware — x86's SSE4.2 crc32 is CRC32C and would
   // change the journal bytes, so it is deliberately not used).
   const std::string data = crc_test_buffer(static_cast<std::size_t>(state.range(0)));

@@ -34,10 +34,16 @@ IngestServer::IngestServer(UucsServer& server, Config config, Clock* clock)
   OverloadController::Config overload = config_.overload;
   if (overload.failpoints == nullptr) overload.failpoints = config_.failpoints;
   overload_ = std::make_unique<OverloadController>(overload);
+  // The loop starts with accept paused: handle_request reads loop_, so no
+  // request may reach a worker before loop_ is stored (an adopted listener
+  // can hold a backlog of connections ready the moment the loop runs).
+  EventLoopServer::Config loop_config = config_.loop;
+  loop_config.start_paused = true;
   loop_ = std::make_unique<EventLoopServer>(
-      config_.loop, [this](std::string payload, EventLoopServer::Responder respond) {
+      loop_config, [this](std::string payload, EventLoopServer::Responder respond) {
         handle_request(std::move(payload), std::move(respond));
       });
+  if (!config_.loop.start_paused) loop_->resume_accept();
   overload_->start([this] { loop_->pause_accept(); },
                    [this] { loop_->resume_accept(); });
 }
@@ -140,6 +146,7 @@ std::string IngestServer::encode_stats_response() const {
     rec.set_int("journal.entries", static_cast<std::int64_t>(commit.entries));
     rec.set_int("journal.batches", static_cast<std::int64_t>(commit.batches));
     rec.set_int("journal.largest_batch", static_cast<std::int64_t>(commit.largest_batch));
+    rec.set_int("journal.waited_batches", static_cast<std::int64_t>(commit.waited_batches));
     rec.set_int("journal.immediate_acks", static_cast<std::int64_t>(commit.immediate_acks));
     rec.set_int("journal.durable_lsn", static_cast<std::int64_t>(committer_->durable_lsn()));
     rec.set_int("journal.failed_batches", static_cast<std::int64_t>(commit.failed_batches));
@@ -195,7 +202,15 @@ void IngestServer::handle_request(std::string payload,
          "journal degraded; writes rejected");
     return;
   }
+  // A write-class dispatch is a writer in flight: the commit thread holds a
+  // pending batch for it (up to max_wait_us) instead of cutting the batch
+  // just before this request's entries queue. The intent ends when the
+  // server queues them (append, on this thread), or when dispatch returns
+  // or throws without queuing anything.
+  GroupCommitJournal::WriteIntent intent;
+  if (committer_ != nullptr && peek.write_class) intent = committer_->begin_write();
   DispatchResult result = dispatch_request_deferred(server_, payload, clock_);
+  intent.end();
   if (committer_ == nullptr) {
     respond.send(std::move(result.response));
     return;

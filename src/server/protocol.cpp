@@ -79,12 +79,11 @@ std::string encode_register_response(const Guid& guid, int protocol_version) {
   return out;
 }
 
-void encode_sync_request_into(const SyncRequest& request, std::string& out) {
+void encode_sync_request_into(const SyncRequest& request, std::string& out,
+                              std::uint32_t protocol_version) {
   out.append("[sync-request]\n");
   // v1 requests stay byte-identical to the pre-negotiation wire format.
-  if (request.protocol_version >= 2) {
-    append_int_line(out, "proto", request.protocol_version);
-  }
+  if (protocol_version >= 2) append_int_line(out, "proto", protocol_version);
   out.append("guid = ");
   request.guid.append_to(out);  // no temporary: the sync hot path writes this
   out.push_back('\n');
@@ -100,6 +99,10 @@ void encode_sync_request_into(const SyncRequest& request, std::string& out) {
                   static_cast<std::int64_t>(request.results.size()));
   out.push_back('\n');
   for (const auto& r : request.results) r.serialize_into(out);
+}
+
+void encode_sync_request_into(const SyncRequest& request, std::string& out) {
+  encode_sync_request_into(request, out, request.protocol_version);
 }
 
 std::string encode_sync_request(const SyncRequest& request) {
@@ -407,12 +410,12 @@ SyncResponse RemoteServerApi::hot_sync(const SyncRequest& request) {
   // Encode at the lower of what the caller asked for and what the server
   // negotiated: a caller that left the default 1 keeps the exact pre-v2
   // bytes, and nobody ever sends a version the server would reject.
-  SyncRequest req = request;
   const int asked =
       request.protocol_version == 0 ? 1 : static_cast<int>(request.protocol_version);
-  req.protocol_version =
-      static_cast<std::uint32_t>(std::min(negotiated_version_, asked));
-  const auto records = kv_parse(round_trip(encode_sync_request(req)));
+  std::string wire;
+  encode_sync_request_into(request, wire,
+                           static_cast<std::uint32_t>(std::min(negotiated_version_, asked)));
+  const auto records = kv_parse(round_trip(wire));
   if (records.empty()) throw ProtocolError("empty sync response");
   if (records.front().type() == "error") throw_error_reply(records.front());
   if (records.front().type() != "sync-response") {

@@ -93,6 +93,11 @@ std::string encode_error(const std::string& message);
 void encode_register_response_into(const Guid& guid, int protocol_version,
                                    std::string& out);
 void encode_sync_request_into(const SyncRequest& request, std::string& out);
+/// As above, but encodes `protocol_version` in place of
+/// `request.protocol_version` (a client lowering it to the negotiated one
+/// without copying the request).
+void encode_sync_request_into(const SyncRequest& request, std::string& out,
+                              std::uint32_t protocol_version);
 void encode_sync_response_into(const SyncResponse& response, std::string& out);
 void encode_error_into(const std::string& message, std::string& out);
 void encode_busy_into(const std::string& kind, const std::string& message,

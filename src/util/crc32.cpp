@@ -15,20 +15,20 @@ namespace uucs {
 
 namespace {
 
-// 8 x 256 slicing tables for the reflected IEEE polynomial. Table 0 is the
+// 16 x 256 slicing tables for the reflected IEEE polynomial. Table 0 is the
 // classic Sarwate table; table k satisfies
 //   tab[k][b] = (tab[k-1][b] >> 8) ^ tab[0][tab[k-1][b] & 0xff]
-// so eight bytes can be folded per step.
-struct Slice8Tables {
-  std::array<std::array<std::uint32_t, 256>, 8> t;
+// so sixteen bytes can be folded per step.
+struct SliceTables {
+  std::array<std::array<std::uint32_t, 256>, 16> t;
 
-  Slice8Tables() {
+  SliceTables() {
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int k = 0; k < 8; ++k) c = (c >> 1) ^ (0xedb88320u & (0u - (c & 1u)));
       t[0][i] = c;
     }
-    for (std::size_t k = 1; k < 8; ++k) {
+    for (std::size_t k = 1; k < t.size(); ++k) {
       for (std::uint32_t i = 0; i < 256; ++i) {
         t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xffu];
       }
@@ -36,8 +36,8 @@ struct Slice8Tables {
   }
 };
 
-const Slice8Tables& tables() {
-  static const Slice8Tables tabs;
+const SliceTables& tables() {
+  static const SliceTables tabs;
   return tabs;
 }
 
@@ -51,25 +51,33 @@ std::uint32_t update_bytewise(std::uint32_t crc, const unsigned char* p,
 }
 
 #if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
-#define UUCS_CRC32_SLICE8 1
-std::uint32_t update_slice8(std::uint32_t crc, const unsigned char* p,
-                            std::size_t n) {
+#define UUCS_CRC32_SLICE16 1
+// Sixteen independent table loads per step. The loop-carried dependency on
+// `crc` bounds a table CRC, so the wider the step, the fewer serial rounds.
+std::uint32_t update_slice16(std::uint32_t crc, const unsigned char* p,
+                             std::size_t n) {
   const auto& t = tables().t;
   // Align to 8 bytes so the memcpy loads below read whole words.
   while (n > 0 && (reinterpret_cast<std::uintptr_t>(p) & 7u) != 0) {
     crc = t[0][(crc ^ *p++) & 0xffu] ^ (crc >> 8);
     --n;
   }
-  while (n >= 8) {
-    std::uint64_t w;
-    std::memcpy(&w, p, 8);
-    w ^= crc;
-    crc = t[7][w & 0xffu] ^ t[6][(w >> 8) & 0xffu] ^ t[5][(w >> 16) & 0xffu] ^
-          t[4][(w >> 24) & 0xffu] ^ t[3][(w >> 32) & 0xffu] ^
-          t[2][(w >> 40) & 0xffu] ^ t[1][(w >> 48) & 0xffu] ^
-          t[0][(w >> 56) & 0xffu];
-    p += 8;
-    n -= 8;
+  while (n >= 16) {
+    std::uint64_t lo;
+    std::uint64_t hi;
+    std::memcpy(&lo, p, 8);
+    std::memcpy(&hi, p + 8, 8);
+    lo ^= crc;
+    crc = t[15][lo & 0xffu] ^ t[14][(lo >> 8) & 0xffu] ^
+          t[13][(lo >> 16) & 0xffu] ^ t[12][(lo >> 24) & 0xffu] ^
+          t[11][(lo >> 32) & 0xffu] ^ t[10][(lo >> 40) & 0xffu] ^
+          t[9][(lo >> 48) & 0xffu] ^ t[8][(lo >> 56) & 0xffu] ^
+          t[7][hi & 0xffu] ^ t[6][(hi >> 8) & 0xffu] ^
+          t[5][(hi >> 16) & 0xffu] ^ t[4][(hi >> 24) & 0xffu] ^
+          t[3][(hi >> 32) & 0xffu] ^ t[2][(hi >> 40) & 0xffu] ^
+          t[1][(hi >> 48) & 0xffu] ^ t[0][(hi >> 56) & 0xffu];
+    p += 16;
+    n -= 16;
   }
   return update_bytewise(crc, p, n);
 }
@@ -114,8 +122,8 @@ Dispatch pick_impl() {
     return {&update_armv8, "armv8-crc"};
   }
 #endif
-#if defined(UUCS_CRC32_SLICE8)
-  return {&update_slice8, "slice8"};
+#if defined(UUCS_CRC32_SLICE16)
+  return {&update_slice16, "slice16"};
 #else
   return {&update_bytewise, "bytewise"};
 #endif

@@ -13,8 +13,8 @@ namespace uucs {
 ///
 /// Dispatches once at first use to the fastest implementation the host
 /// supports: the ARMv8 CRC32 instructions where present (they implement this
-/// exact polynomial), otherwise a slice-by-8 table walk that processes eight
-/// bytes per step. The x86 SSE4.2 `crc32` instruction is deliberately NOT
+/// exact polynomial), otherwise a slice-by-16 table walk that processes
+/// sixteen bytes per step. The x86 SSE4.2 `crc32` instruction is deliberately NOT
 /// used: it hard-wires the Castagnoli polynomial (CRC-32C), and swapping
 /// polynomials would silently change every journal frame on disk.
 std::uint32_t crc32(std::string_view data);
@@ -34,7 +34,7 @@ constexpr std::uint32_t crc32_final(std::uint32_t state) {
 std::uint32_t crc32_bytewise(std::string_view data);
 
 /// Name of the implementation crc32() dispatched to ("armv8-crc" or
-/// "slice8"); surfaced by bench_micro labels and the perf-smoke log.
+/// "slice16"); surfaced by bench_micro labels and the perf-smoke log.
 const char* crc32_impl_name();
 
 }  // namespace uucs

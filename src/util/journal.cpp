@@ -35,6 +35,10 @@ void write_fully(int fd, const char* data, std::size_t len, const std::string& p
   }
 }
 
+/// The group-commit journal whose write intent the calling thread holds and
+/// has not yet queued entries under (see WriteIntent: one per thread).
+thread_local const GroupCommitJournal* t_open_intent = nullptr;
+
 void fsync_or_throw(int fd, const std::string& path, std::uint64_t* counter = nullptr) {
   if (::fsync(fd) != 0) {
     throw SystemError("journal fsync " + path + ": " + std::strerror(errno));
@@ -248,14 +252,45 @@ GroupCommitJournal::~GroupCommitJournal() {
   if (committer_.joinable()) committer_.join();
 }
 
+GroupCommitJournal::WriteIntent GroupCommitJournal::begin_write() {
+  UUCS_CHECK_MSG(t_open_intent == nullptr, "a thread holds one write intent at a time");
+  std::lock_guard<std::mutex> lock(mu_);
+  t_open_intent = this;
+  ++intents_;
+  return WriteIntent(this);
+}
+
+void GroupCommitJournal::end_write() {
+  // Usually this thread's append() has ended the intent already, and there
+  // is nothing to do.
+  if (t_open_intent != this) return;
+  bool ring = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    t_open_intent = nullptr;
+    // wait_cap_ is set only while the commit thread waits on intents, so
+    // the last one out rings it exactly when a batch is held for it.
+    ring = --intents_ == 0 && wait_cap_ != 0;
+  }
+  if (ring) work_cv_.notify_one();
+}
+
 std::uint64_t GroupCommitJournal::append(std::vector<std::string> entries) {
   std::lock_guard<std::mutex> lock(mu_);
   if (entries.empty()) return last_lsn_;
+  // Once its entries are queued the caller is no longer a writer in flight:
+  // its own intent ends here, so a batch never waits for the writer whose
+  // entries it already holds.
+  if (t_open_intent == this) {
+    t_open_intent = nullptr;
+    --intents_;
+  }
   last_lsn_ += entries.size();
   const Health h = health_.load(std::memory_order_relaxed);
   if (h == Health::kOk) {
     for (std::string& e : entries) pending_.push_back(std::move(e));
-    if (idle_waiting_ || (linger_cap_ != 0 && pending_.size() >= linger_cap_)) {
+    if (idle_waiting_ ||
+        (wait_cap_ != 0 && (intents_ == 0 || pending_.size() >= wait_cap_))) {
       wake_due_.store(true, std::memory_order_relaxed);
     }
     return last_lsn_;
@@ -538,9 +573,9 @@ void GroupCommitJournal::commit_loop() {
       continue;
     }
     // Exclusive *waiters* do not pause the loop — they are waiting for the
-    // backlog to drain, so the loop must keep committing (the linger window
-    // below is skipped to get there faster). Only an *active* exclusive
-    // section parks it.
+    // backlog to drain, so the loop must keep committing (the wait for
+    // writers below is skipped to get there faster). Only an *active*
+    // exclusive section parks it.
     idle_waiting_ = true;
     work_cv_.wait(lock, [&] {
       return stopping_ || (!pending_.empty() && !exclusive_active_);
@@ -550,19 +585,25 @@ void GroupCommitJournal::commit_loop() {
       if (stopping_) break;
       continue;  // woken for an exclusive section; state_cv_ handles it
     }
-    // Group window: linger briefly for stragglers so concurrent syncs
-    // coalesce, but never past the batch cap and never when shutting down.
-    // A slow device widens both knobs (note_batch_seconds) so the fsync
-    // cadence drops instead of the ack queue growing without bound.
+    // Group window: write what is pending now, unless a writer is still
+    // dispatching (a WriteIntent is outstanding). Then wait for it, but
+    // only until the last intent ends, the batch fills or the window
+    // closes, and never while shutting down or draining for an exclusive
+    // section. No timer ever runs for a batch that no writer is still
+    // adding to. A slow device widens the window and the cap
+    // (note_batch_seconds), so the fsync cadence drops instead of the ack
+    // queue growing without bound.
     const std::size_t batch_cap = effective_batch_cap();
     const std::uint32_t wait_us = effective_wait_us();
-    if (wait_us > 0 && pending_.size() < batch_cap && !stopping_) {
-      linger_cap_ = batch_cap;
-      work_cv_.wait_for(lock, std::chrono::microseconds(wait_us), [&] {
-        return stopping_ || pending_.size() >= batch_cap ||
-               exclusive_waiters_ > 0;
-      });
-      linger_cap_ = 0;
+    const auto cut = [&] {
+      return stopping_ || intents_ == 0 || pending_.size() >= batch_cap ||
+             exclusive_waiters_ > 0;
+    };
+    if (wait_us > 0 && !cut()) {
+      ++stats_.waited_batches;
+      wait_cap_ = batch_cap;
+      work_cv_.wait_for(lock, std::chrono::microseconds(wait_us), cut);
+      wait_cap_ = 0;
     }
     // Swapping keeps both vectors' capacity warm across batches.
     batch_.swap(pending_);

@@ -8,6 +8,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace uucs {
@@ -86,7 +87,7 @@ class Journal {
   void close();
 
   /// CRC-32 (IEEE 802.3) of `data`; exposed for tests. Delegates to the
-  /// shared util/crc32 implementation (slice-by-8 or hardware).
+  /// shared util/crc32 implementation (slice-by-16 or hardware).
   static std::uint32_t crc32(std::string_view data);
 
   /// Appends one on-disk frame (`UUCSJ <len> <crc>\n<payload>\n`) for
@@ -126,10 +127,11 @@ struct JournalFault {
 /// commit thread, and each append's completion fires only after the batch
 /// holding it is durable. Durability semantics are exactly the journal's —
 /// "acknowledged implies on disk" — but the fsync cost is amortized over
-/// every append that arrived inside the batch window instead of being paid
-/// per append. The on-disk format is untouched (Journal::append_batch does
-/// the writing), so journals written through this replay with plain
-/// Journal::open.
+/// every append that queued while the previous batch was being written, or
+/// that a writer in flight (a WriteIntent) added before its batch was cut,
+/// instead of being paid per append. The on-disk format is untouched
+/// (Journal::append_batch does the writing), so journals written through
+/// this replay with plain Journal::open.
 ///
 /// Log sequence numbers: every queued entry gets the next LSN (1, 2, ...),
 /// and after each fsync the commit thread publishes the durable LSN — the
@@ -154,10 +156,15 @@ class GroupCommitJournal {
   enum class Health : std::uint8_t { kOk = 0, kDegraded, kBroken };
 
   struct Config {
-    /// Entry count that forces a batch out immediately (the "group" limit).
+    /// Entry count that cuts a batch short while it waits for writers in
+    /// flight (see max_wait_us): a full batch is written at once.
     std::size_t max_batch_entries = 512;
-    /// How long the commit thread lingers for stragglers after the first
-    /// append of a batch arrives. 0 commits every wakeup's backlog at once.
+    /// Longest a batch waits for writers already in flight. The commit
+    /// thread writes whatever is pending as soon as it finds it, unless a
+    /// WriteIntent is outstanding; then it waits until the last intent
+    /// ends, the batch reaches max_batch_entries, or this many
+    /// microseconds pass, whichever comes first. It never delays an idle
+    /// log or a batch with no writer in flight. 0 never waits.
     std::uint32_t max_wait_us = 500;
     /// Refuse to write a batch when the journal filesystem has less than
     /// this many free bytes left (plus the batch itself) — degrading on a
@@ -168,13 +175,15 @@ class GroupCommitJournal {
     /// recovery.
     std::uint32_t recheck_interval_ms = 200;
     /// A batch write+fsync slower than this (EWMA-smoothed) widens the
-    /// group window: fewer, larger batches keep the ack queue bounded on a
-    /// slow device instead of fsyncing at full cadence and falling behind.
-    /// 0 disables slow-fsync adaptation.
+    /// group window: a batch may wait longer and grow larger for writers in
+    /// flight, so a slow device sees fewer fsyncs instead of an ack queue
+    /// that falls behind. Entries queued during a slow write still pile up
+    /// behind it and go out together. 0 disables slow-fsync adaptation.
     double slow_fsync_threshold_s = 0.0;
-    /// Linger used while in the widened (slow-device) regime.
+    /// max_wait_us while in the widened (slow-device) regime: the longest a
+    /// batch waits for writers in flight (the larger of the two applies).
     std::uint32_t widened_max_wait_us = 5000;
-    /// Batch-cap multiplier while in the widened regime.
+    /// max_batch_entries multiplier while in the widened regime.
     std::size_t widened_batch_factor = 4;
     /// Consulted once per batch attempt before touching the disk; the
     /// chaos suite injects deterministic ENOSPC/EIO/slow-fsync here.
@@ -193,6 +202,49 @@ class GroupCommitJournal {
     std::size_t parked_entries = 0;     ///< failed-batch payloads awaiting replay
     std::uint64_t slow_fsyncs = 0;      ///< batches over the slow threshold
     std::uint64_t widened_batches = 0;  ///< batches committed in the widened regime
+    std::uint64_t waited_batches = 0;   ///< batches whose write waited for a WriteIntent
+  };
+
+  /// A writer in flight: taken by a thread before it starts work that may
+  /// append (for the ingest plane, dispatch of a write-class request). It
+  /// ends as soon as that thread's next non-empty append() queues its
+  /// entries, under the same lock, or else when the token is ended or
+  /// destroyed (work that appended nothing). While any intent is
+  /// outstanding the commit thread holds a pending batch for it, up to
+  /// Config::max_wait_us: a batch waits only for writers that have not
+  /// queued yet, never for the one whose entries it already holds. Ending
+  /// the last intent rings the commit thread (through notify() when an
+  /// append ended it), so the batch goes out at once. Intents only decide
+  /// when a batch is cut, never which LSN a wait covers. A thread holds at
+  /// most one token at a time and ends it itself (end or destroy one
+  /// before beginning the next, even when an append already ended its
+  /// intent); move-only, ends on destruction, and must not outlive its
+  /// GroupCommitJournal. End an
+  /// intent that has not appended before blocking on a durability wait
+  /// (flush): a batch held for it would otherwise sit out the whole window.
+  class WriteIntent {
+   public:
+    WriteIntent() = default;
+    WriteIntent(WriteIntent&& other) noexcept
+        : journal_(std::exchange(other.journal_, nullptr)) {}
+    WriteIntent& operator=(WriteIntent&& other) noexcept {
+      if (this != &other) {
+        end();
+        journal_ = std::exchange(other.journal_, nullptr);
+      }
+      return *this;
+    }
+    ~WriteIntent() { end(); }
+
+    /// Ends the intent now; later calls (and the destructor) do nothing.
+    void end() {
+      if (journal_ != nullptr) std::exchange(journal_, nullptr)->end_write();
+    }
+
+   private:
+    friend class GroupCommitJournal;
+    explicit WriteIntent(GroupCommitJournal* journal) : journal_(journal) {}
+    GroupCommitJournal* journal_ = nullptr;
   };
 
   /// `journal` must outlive this object. (Two overloads rather than a
@@ -212,14 +264,21 @@ class GroupCommitJournal {
   /// so far, so a wait on it covers everything queued before the call.
   /// Never blocks on disk and does not wake the commit thread: a caller
   /// that queues under its own lock rings notify() after releasing it.
-  /// While degraded the entries join the parked backlog (recovery replays
+  /// Non-empty `entries` end the calling thread's WriteIntent, if it holds
+  /// one. While degraded the entries join the parked backlog (recovery replays
   /// them); once broken they are dropped. Either way a wait on the returned
   /// LSN fails until recovery has written it.
   std::uint64_t append(std::vector<std::string> entries);
 
+  /// Starts the calling thread's WriteIntent (see there). Takes the lock
+  /// once; the append that ends it takes no extra lock, and ending one that
+  /// never appended takes it once more.
+  WriteIntent begin_write();
+
   /// Wakes the commit thread for entries queued by append(), if they need
-  /// it: when it was idle, or when they filled the batch it is lingering
-  /// on. Otherwise the linger timeout or the batch in flight picks them up,
+  /// it: when it was idle, or when the batch it is holding for writers in
+  /// flight is now full or has no writer left to wait for. Otherwise the
+  /// batch being written or the end of the last WriteIntent picks them up,
   /// and the commit thread is not woken once per append for nothing.
   void notify() {
     if (wake_due_.exchange(false, std::memory_order_relaxed)) work_cv_.notify_one();
@@ -273,6 +332,7 @@ class GroupCommitJournal {
   };
 
   void commit_loop();
+  void end_write();  ///< WriteIntent's end: drops intents_ unless append did, rings if last
   /// Moves every waiter that `ok` settles — all of them when false, those
   /// whose LSN is durable when true — into ready_, in arrival order. Lock
   /// held; the caller fires ready_ after releasing it.
@@ -308,7 +368,8 @@ class GroupCommitJournal {
   std::atomic<std::uint64_t> immediate_acks_{0};
   bool committing_ = false;  ///< a batch is being written right now
   bool idle_waiting_ = false;  ///< commit thread: waiting for a first append
-  std::size_t linger_cap_ = 0;  ///< commit thread: batch cap while lingering, else 0
+  std::size_t wait_cap_ = 0;  ///< commit thread: batch cap while waiting on intents, else 0
+  std::size_t intents_ = 0;  ///< WriteIntents whose entries are not queued yet
   /// Set by append() when the commit thread needs waking; the first
   /// notify() after it rings the condition variable.
   std::atomic<bool> wake_due_{false};

@@ -68,7 +68,7 @@ class BatchHold {
 };
 
 /// A journaled server whose deferred path queues on a group-commit journal
-/// with no linger, the way IngestServer wires them.
+/// that never holds a batch (window 0), wired the way IngestServer wires them.
 struct HeldPlane {
   TempDir dir;
   UucsServer server{41, 4, /*shard_count=*/2};

@@ -22,6 +22,7 @@
 #include "testcase/suite.hpp"
 #include "util/error.hpp"
 #include "util/fs.hpp"
+#include "util/kvtext.hpp"
 
 namespace uucs {
 namespace {
@@ -221,6 +222,46 @@ TEST(Ingest, CrashReplayThenRetryConvergesToExactlyOnce) {
   EXPECT_EQ(retry.duplicate_results, 3u);
   EXPECT_EQ(server.results().size(), 3u);
   for (const auto& r : req.results) EXPECT_TRUE(server.has_result(r.run_id));
+  ingest.stop();
+}
+
+TEST(Ingest, FailedWriteDispatchDoesNotLeakItsWriteIntent) {
+  // Every write-class request holds a write intent across dispatch, and the
+  // commit thread holds a batch while any intent is outstanding. One whose
+  // dispatch fails must still end its intent: a leaked one would hold every
+  // later batch for the whole window (10 s here) instead of writing it as
+  // soon as its writer is done.
+  TempDir dir;
+  UucsServer server(29, 4, /*shard_count=*/4);
+  server.add_testcase(make_ramp_testcase(Resource::kMemory, 1.0, 120.0));
+  server.attach_journal(dir.file("server.journal"));
+  const Guid guid = server.register_client(HostSpec::paper_study_machine());
+  IngestServer::Config cfg = test_config();
+  cfg.commit.max_wait_us = 10'000'000;
+  cfg.loop.idle_timeout_s = 30.0;
+  IngestServer ingest(server, cfg);
+  auto channel = TcpChannel::connect("127.0.0.1", ingest.port(), {30.0, 30.0, 30.0});
+
+  // Write-class by its head (result_count > 0), but the GUID does not parse.
+  channel->write(
+      "[sync-request]\nproto = 3\nguid = not-a-guid\nsync_seq = 1\n"
+      "result_count = 1\n\n");
+  const auto error = channel->read();
+  ASSERT_TRUE(error.has_value());
+  ASSERT_EQ(kv_parse(*error).front().type(), "error");
+
+  RemoteServerApi api(*channel);
+  SyncRequest req;
+  req.guid = guid;
+  req.sync_seq = 1;
+  req.results.push_back(make_result(guid, guid.to_string() + "/1"));
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(api.hot_sync(req).accepted_results, 1u);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, 2s);
+
+  const auto stats = kv_parse(ingest.encode_stats_response());
+  ASSERT_FALSE(stats.empty());
+  EXPECT_GE(stats.front().get_int_or("journal.waited_batches", -1), 0);
   ingest.stop();
 }
 

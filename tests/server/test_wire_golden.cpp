@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "monitor/sysinfo.hpp"
@@ -336,20 +337,31 @@ TEST(WireGolden, Crc32CheckValueAndDifferential) {
   EXPECT_EQ(crc32("123456789"), 0xcbf43926u);
   EXPECT_EQ(crc32_bytewise("123456789"), 0xcbf43926u);
 
+  constexpr std::size_t kLengths = 300;
+  constexpr std::size_t kOffsets = 16;
   std::string data;
   std::uint32_t x = 1;
-  for (int len = 0; len < 300; ++len) {
-    EXPECT_EQ(crc32(data), crc32_bytewise(data)) << "len=" << len;
-    // Chunked updates must match one-shot, at every split point parity.
-    if (len > 0) {
-      const std::size_t split = static_cast<std::size_t>(len) / 3;
-      std::uint32_t state = crc32_init();
-      state = crc32_update(state, std::string_view(data).substr(0, split));
-      state = crc32_update(state, std::string_view(data).substr(split));
-      EXPECT_EQ(crc32_final(state), crc32(data)) << "len=" << len;
-    }
+  while (data.size() < kLengths + kOffsets) {
     x = x * 1103515245u + 12345u;
     data.push_back(static_cast<char>(x >> 16));
+  }
+  // Every length from every start offset 0-15, so the unaligned head, the
+  // 16-byte steps and the tail each run at every phase of the buffer.
+  for (std::size_t offset = 0; offset < kOffsets; ++offset) {
+    for (std::size_t len = 0; len < kLengths; ++len) {
+      const std::string_view view = std::string_view(data).substr(offset, len);
+      EXPECT_EQ(crc32(view), crc32_bytewise(view))
+          << "offset=" << offset << " len=" << len;
+      // Chunked updates must match one-shot, at every split point parity.
+      if (len > 0) {
+        const std::size_t split = len / 3;
+        std::uint32_t state = crc32_init();
+        state = crc32_update(state, view.substr(0, split));
+        state = crc32_update(state, view.substr(split));
+        EXPECT_EQ(crc32_final(state), crc32(view))
+            << "offset=" << offset << " len=" << len;
+      }
+    }
   }
 }
 

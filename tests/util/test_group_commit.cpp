@@ -1,7 +1,8 @@
 // Group-commit journal tests: coalescing (many appends, few fsyncs), the
 // durable-before-ack contract, LSN numbering and inline completion of
-// durable waits, barrier ordering for empty appends, the exclusive window
-// for compaction — and a fork+SIGKILL battery proving that
+// durable waits, barrier ordering for empty appends, when a batch waits for
+// writers in flight (write intents) and when it does not, the exclusive
+// window for compaction — and a fork+SIGKILL battery proving that
 // a crash at any point between batch buffering and fsync never loses an
 // acknowledged entry.
 
@@ -13,6 +14,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <barrier>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -22,6 +24,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "util/error.hpp"
@@ -57,12 +60,19 @@ TEST(GroupCommit, ConcurrentAppendsCoalesceIntoFewFsyncs) {
   constexpr int kAppends = 25;
   {
     GroupCommitJournal::Config cfg;
-    cfg.max_wait_us = 2000;  // wide window so concurrent appends pile up
+    // Every writer of a round is in flight (holds a write intent) before
+    // any of them appends, so the first entry's batch waits up to this
+    // long for the rest of the round; each append ends its own intent
+    // before append_sync blocks on durability.
+    cfg.max_wait_us = 2000;
     GroupCommitJournal committer(journal, cfg);
+    std::barrier round(kThreads);
     std::vector<std::thread> writers;
     for (int t = 0; t < kThreads; ++t) {
       writers.emplace_back([&, t] {
         for (int i = 0; i < kAppends; ++i) {
+          const GroupCommitJournal::WriteIntent intent = committer.begin_write();
+          round.arrive_and_wait();
           committer.append_sync(
               {"t" + std::to_string(t) + "-" + std::to_string(i)});
         }
@@ -149,28 +159,174 @@ TEST(GroupCommit, LsnsNumberEntriesAndDurableWaitsCompleteInline) {
   EXPECT_EQ(journal.entries().size(), 4u);
 }
 
+/// Polls until the committer's durable LSN reaches `lsn` or `limit` passes;
+/// returns the time it took (at least `limit` when it never got there).
+std::chrono::steady_clock::duration time_until_durable(
+    const GroupCommitJournal& committer, std::uint64_t lsn,
+    std::chrono::steady_clock::duration limit = 5s) {
+  const auto start = std::chrono::steady_clock::now();
+  while (committer.durable_lsn() < lsn &&
+         std::chrono::steady_clock::now() - start < limit) {
+    std::this_thread::sleep_for(1ms);
+  }
+  const auto took = std::chrono::steady_clock::now() - start;
+  return committer.durable_lsn() >= lsn ? took : std::max(took, limit);
+}
+
+/// Appends `entries` and rings the commit thread from a thread of its own:
+/// another writer, which leaves the calling thread's write intent alone.
+std::uint64_t append_as_another_writer(GroupCommitJournal& committer,
+                                       std::vector<std::string> entries) {
+  std::uint64_t lsn = 0;
+  std::thread([&] {
+    lsn = committer.append(std::move(entries));
+    committer.notify();
+  }).join();
+  return lsn;
+}
+
+/// Polls until the commit thread has started holding a batch for a writer
+/// in flight (waited_batches reaches 1), or ~5 s pass.
+bool commit_thread_holds_a_batch(const GroupCommitJournal& committer) {
+  const auto start = std::chrono::steady_clock::now();
+  while (committer.stats().waited_batches < 1 &&
+         std::chrono::steady_clock::now() - start < 5s) {
+    std::this_thread::sleep_for(1ms);
+  }
+  return committer.stats().waited_batches == 1;
+}
+
 TEST(GroupCommit, BatchFilledDuringTheLingerIsWrittenAtOnce) {
-  // notify() rings the lingering commit thread only once the batch is full;
-  // a lost ring would leave this batch waiting out the whole window.
+  // notify() rings a commit thread that holds a batch for a writer in
+  // flight only once the batch is full; a lost ring would leave this batch
+  // waiting out the whole window, since that writer (this thread, which
+  // never appends) keeps its intent.
   TempDir dir;
   Journal journal = Journal::open(dir.file("j.log"));
   GroupCommitJournal::Config cfg;
   cfg.max_batch_entries = 4;
   cfg.max_wait_us = 10'000'000;
   GroupCommitJournal committer(journal, cfg);
-  committer.append({"a"});
+  const GroupCommitJournal::WriteIntent intent = committer.begin_write();
+  append_as_another_writer(committer, {"a"});
+  ASSERT_TRUE(commit_thread_holds_a_batch(committer));
+  EXPECT_EQ(committer.durable_lsn(), 0u);
+  const std::uint64_t lsn = append_as_another_writer(committer, {"b", "c", "d"});
+  EXPECT_LT(time_until_durable(committer, lsn), 2s);
+  EXPECT_EQ(committer.durable_lsn(), 4u);
+  EXPECT_EQ(committer.stats().waited_batches, 1u);
+}
+
+TEST(GroupCommit, LoneAppendIsWrittenWithoutWaitingOutTheWindow) {
+  // No writer is in flight, so there is nothing to wait for: the window
+  // bounds a wait for writers, it does not delay an idle log.
+  TempDir dir;
+  Journal journal = Journal::open(dir.file("j.log"));
+  GroupCommitJournal::Config cfg;
+  cfg.max_wait_us = 10'000'000;
+  GroupCommitJournal committer(journal, cfg);
+  const std::uint64_t lsn = committer.append({"lone"});
   committer.notify();
-  std::this_thread::sleep_for(50ms);  // let the commit thread start lingering
-  const std::uint64_t lsn = committer.append({"b", "c", "d"});
+  EXPECT_LT(time_until_durable(committer, lsn), 2s);
+  EXPECT_EQ(committer.stats().waited_batches, 0u);
+}
+
+TEST(GroupCommit, EntryQueuedDuringAWriteIsWrittenRightAfterIt) {
+  // An entry that queued while the previous batch was being written has
+  // already waited out that write; it must not wait out a fresh window too.
+  TempDir dir;
+  Journal journal = Journal::open(dir.file("j.log"));
+  std::atomic<bool> in_hook{false};
+  std::atomic<bool> release{false};
+  GroupCommitJournal::Config cfg;
+  cfg.max_batch_entries = 2;
+  cfg.max_wait_us = 10'000'000;
+  cfg.fault_hook = [&] {
+    if (!in_hook.exchange(true)) {
+      while (!release.load()) std::this_thread::sleep_for(1ms);
+    }
+    return JournalFault{};
+  };
+  GroupCommitJournal committer(journal, cfg);
+  committer.append({"a", "b"});
   committer.notify();
-  std::atomic<bool> durable{false};
-  const auto start = std::chrono::steady_clock::now();
-  committer.wait(lsn, [&](bool ok) { durable = ok; });
-  while (!durable.load() && std::chrono::steady_clock::now() - start < 5s) {
+  const auto hook_start = std::chrono::steady_clock::now();
+  while (!in_hook.load() && std::chrono::steady_clock::now() - hook_start < 5s) {
     std::this_thread::sleep_for(1ms);
   }
-  EXPECT_TRUE(durable.load());
-  EXPECT_EQ(committer.durable_lsn(), 4u);
+  ASSERT_TRUE(in_hook.load());
+  const std::uint64_t lsn = committer.append({"c"});
+  committer.notify();
+  release.store(true);
+  EXPECT_LT(time_until_durable(committer, lsn), 2s);
+  EXPECT_EQ(journal.entries().size(), 3u);
+  EXPECT_EQ(committer.stats().batches, 2u);
+}
+
+TEST(GroupCommit, WritersOwnAppendEndsItsIntent) {
+  // Once a writer's entries are queued it is no longer in flight: its batch
+  // must not wait for the rest of its own work (here: forever).
+  TempDir dir;
+  Journal journal = Journal::open(dir.file("j.log"));
+  GroupCommitJournal::Config cfg;
+  cfg.max_wait_us = 10'000'000;
+  GroupCommitJournal committer(journal, cfg);
+  GroupCommitJournal::WriteIntent intent = committer.begin_write();
+  const std::uint64_t lsn = committer.append({"mine"});
+  committer.notify();
+  EXPECT_LT(time_until_durable(committer, lsn), 2s);
+  EXPECT_EQ(committer.stats().waited_batches, 0u);
+  // The token's own end is now a no-op, and the thread may begin again.
+  intent.end();
+  const GroupCommitJournal::WriteIntent next = committer.begin_write();
+  const std::uint64_t next_lsn = committer.append({"next"});
+  committer.notify();
+  EXPECT_LT(time_until_durable(committer, next_lsn), 2s);
+  EXPECT_EQ(committer.stats().waited_batches, 0u);
+}
+
+TEST(GroupCommit, OutstandingIntentHoldsTheBatchUntilItEnds) {
+  TempDir dir;
+  Journal journal = Journal::open(dir.file("j.log"));
+  GroupCommitJournal::Config cfg;
+  cfg.max_wait_us = 10'000'000;
+  GroupCommitJournal committer(journal, cfg);
+  // Writer A (this thread) is in flight and has queued nothing.
+  GroupCommitJournal::WriteIntent intent = committer.begin_write();
+  // A moved-from intent is empty: ending it neither ends the live one nor
+  // rings the commit thread.
+  GroupCommitJournal::WriteIntent moved = std::move(intent);
+  intent.end();
+  // Writer B queues under an intent of its own, which its append ends; the
+  // batch holding B's entry still waits for A.
+  std::uint64_t lsn = 0;
+  std::thread([&] {
+    const GroupCommitJournal::WriteIntent own = committer.begin_write();
+    lsn = committer.append({"held"});
+    committer.notify();
+  }).join();
+  ASSERT_TRUE(commit_thread_holds_a_batch(committer));
+  std::this_thread::sleep_for(100ms);
+  EXPECT_EQ(committer.durable_lsn(), 0u) << "batch cut while a writer was in flight";
+  // Ending the last intent rings the waiting commit thread: the batch goes
+  // out at once, not when the 10 s window closes.
+  moved.end();
+  EXPECT_LT(time_until_durable(committer, lsn), 2s);
+  EXPECT_EQ(committer.stats().waited_batches, 1u);
+}
+
+TEST(GroupCommit, IntentNeverEndedDelaysTheBatchAtMostTheWindow) {
+  TempDir dir;
+  Journal journal = Journal::open(dir.file("j.log"));
+  GroupCommitJournal::Config cfg;
+  cfg.max_wait_us = 200'000;
+  GroupCommitJournal committer(journal, cfg);
+  const GroupCommitJournal::WriteIntent stuck = committer.begin_write();
+  const std::uint64_t lsn = append_as_another_writer(committer, {"late"});
+  const auto took = time_until_durable(committer, lsn);
+  EXPECT_GE(took, 150ms);  // it did wait for the writer...
+  EXPECT_LT(took, 2s);     // ...but only for the window
+  EXPECT_EQ(committer.stats().waited_batches, 1u);
 }
 
 TEST(GroupCommit, WithExclusiveParksTheCommitterForCompaction) {

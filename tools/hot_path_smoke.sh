@@ -3,7 +3,7 @@
 # the overhaul's wins quietly regressing):
 #
 #   1. runs the CRC and sync-encode microbenchmarks from bench_micro and
-#      asserts the slice-by-8 (or hardware) CRC32 is at least 4x the
+#      asserts the slice-by-16 (or hardware) CRC32 is at least 4x the
 #      reference bytewise implementation on 4 KiB buffers — an IN-RUN ratio,
 #      so CI-runner speed differences cancel out, and
 #   2. fails when the warm-cache sync-response encode exceeds 2x the

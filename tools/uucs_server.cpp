@@ -43,10 +43,13 @@
 ///   --shards               independently locked state shards (default 4)
 ///   --max-connections      open-connection cap; accept pauses at the cap and
 ///                          resumes as connections close (default 8192)
-///   --group-commit-max     journal entries that force a batch to commit
-///                          immediately (default 512)
-///   --group-commit-wait-us microseconds the committer lingers for stragglers
-///                          before fsyncing a non-full batch (default 500)
+///   --group-commit-max     journal entries at which a batch held for
+///                          writers in flight is written at once
+///                          (default 512)
+///   --group-commit-wait-us longest a batch waits, in microseconds, for
+///                          registrations and uploads still being
+///                          dispatched; with none in flight it is written
+///                          at once (default 500)
 ///   --control-socket       unix-domain socket where a successor may request
 ///                          a live takeover of this process
 ///   --takeover             take over the server listening on this control
@@ -74,8 +77,9 @@
 ///   --retry-after-ms       backoff hint stamped on v3 busy/degraded replies
 ///                          (default 200)
 ///   --slow-fsync-ms        fsync latency above this widens the group-commit
-///                          batch window (fewer, larger fsyncs) until the
-///                          disk recovers
+///                          window (a batch may wait up to 5 ms for writers
+///                          in flight and grow to 4x the cap: fewer, larger
+///                          fsyncs) until the disk recovers
 ///   --stats-interval       print a one-line stats digest every S seconds
 ///   --server-faults        deterministic fault injection for chaos tests:
 ///                          "OP:KIND,..." with KIND enospc | eio |
@@ -367,10 +371,11 @@ int main(int argc, char** argv) {
       } else if (ingest.journal_health() == GroupCommitJournal::Health::kBroken) {
         health = "broken";
       }
-      journal = strprintf("journal=%s entries=%llu batches=%llu parked=%zu "
-                          "slow_fsyncs=%llu",
+      journal = strprintf("journal=%s entries=%llu batches=%llu "
+                          "waited_batches=%llu parked=%zu slow_fsyncs=%llu",
                           health, static_cast<unsigned long long>(cs.entries),
                           static_cast<unsigned long long>(cs.batches),
+                          static_cast<unsigned long long>(cs.waited_batches),
                           cs.parked_entries,
                           static_cast<unsigned long long>(cs.slow_fsyncs));
     }

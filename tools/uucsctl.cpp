@@ -383,6 +383,13 @@ int cmd_stats(const std::string& host, std::uint16_t port,
               static_cast<long long>(r.get_int_or("loop.open_connections", 0)),
               static_cast<long long>(r.get_int_or("loop.inflight", 0)),
               static_cast<long long>(r.get_int_or("loop.buffered_bytes", 0)));
+  if (r.find("journal.batches")) {
+    std::printf("journal: %lld entries in %lld batches, %lld waited for "
+                "writers in flight\n",
+                static_cast<long long>(r.get_int_or("journal.entries", 0)),
+                static_cast<long long>(r.get_int_or("journal.batches", 0)),
+                static_cast<long long>(r.get_int_or("journal.waited_batches", 0)));
+  }
   std::printf("shed: queue %lld, deadline %lld, registrations %lld, "
               "degraded %lld; pressure pauses %lld (frac %.2f)\n",
               static_cast<long long>(r.get_int_or("shed.queue", 0)),
